@@ -365,9 +365,14 @@ class Mlp:
             raise ValueError(
                 f"input dim {x.shape[-1]} != first layer size {self.in_dim}"
             )
+        # bias and tanh in place on the matmul result: one fresh array per layer
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.tanh(x @ w.T + b)
-        return x @ self.weights[-1].T + self.biases[-1]
+            x = x @ w.T
+            x += b
+            np.tanh(x, out=x)
+        x = x @ self.weights[-1].T
+        x += self.biases[-1]
+        return x
 
     def forward(self, x, params=None):
         """Forward pass through taped or plain inputs.

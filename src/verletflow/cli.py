@@ -15,11 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, svg
-from .densities import standard_normal_logpdf
-from .flow import PhaseState
 from .importance import benchmark as run_benchmark
-from .importance import estimate_logZ, log_weights
-from .integrators import METHODS, IntegrationError, IntegratorConfig, integrate
+from .importance import estimate_logZ, log_weights, push_blocks
+from .integrators import METHODS, IntegrationError, IntegratorConfig
 from .persist import CheckpointError, Config, ConfigError, load_checkpoint, save_checkpoint
 from .training import train
 
@@ -27,6 +25,14 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+
+def positive_int(text):
+    """argparse type for counts that must be >= 1 (a usage error otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _eval_cfg(config: Config, args):
@@ -102,10 +108,12 @@ def cmd_logz(args):
     try:
         flow, config, target = _load_model_and_target(args)
         cfg = _eval_cfg(config, args)
+        n = args.samples if args.samples else config.eval.samples
+        if n < 2:
+            raise ValueError(f"logz needs at least 2 samples, got {n}")
     except (ConfigError, CheckpointError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    n = args.samples if args.samples else config.eval.samples
     try:
         report = estimate_logZ(flow, target, n, cfg, workers=args.workers)
     except IntegrationError as err:
@@ -210,13 +218,16 @@ def cmd_sample(args):
     rng = np.random.default_rng(cfg.seed)
     q0 = rng.standard_normal((args.n, flow.d_q))
     p0 = rng.standard_normal((args.n, flow.d_p))
-    try:
-        res = integrate(flow, PhaseState(q=q0, p=p0, t=0.0), cfg)
-    except IntegrationError as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
     x0 = np.concatenate([q0, p0], axis=-1)
-    log_model = standard_normal_logpdf(x0) + res.dlogp
+    q1, p1, log_model = np.empty_like(q0), np.empty_like(p0), np.empty(args.n)
+    blocks = push_blocks(flow, cfg, 0, args.n, lambda a, b: (x0[a:b], None))
+    for a, b, *block in blocks:
+        q1[a:b], p1[a:b], log_model[a:b] = block
+    failed = int(np.isnan(log_model).sum())
+    if failed:
+        print(f"numeric failure: {failed} of {args.n} samples did not integrate",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     path = args.csv or "samples.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -224,7 +235,7 @@ def cmd_sample(args):
         header += [f"p{i}" for i in range(flow.d_p)]
         header.append("log_density")
         writer.writerow(header)
-        for qi, pi, ld in zip(res.state.q, res.state.p, log_model):
+        for qi, pi, ld in zip(q1, p1, log_model):
             writer.writerow(
                 [format(v, ".12g") for v in (*qi, *pi)] + [format(ld, ".12g")]
             )
@@ -245,7 +256,7 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=positive_int, default=1)
     common.add_argument("--csv", type=str, default=None)
     common.add_argument("--svg", type=str, default=None)
 
@@ -264,8 +275,8 @@ def build_parser():
         p = sub.add_parser(name, parents=[common])
         p.add_argument("checkpoint")
         p.add_argument("--config", default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
+        p.add_argument("--samples", type=positive_int, default=None)
+        p.add_argument("--steps", type=positive_int, default=None)
         if name == "benchmark":
             p.add_argument("--methods", default="taylor-verlet,rk4-exact")
         else:
@@ -274,8 +285,8 @@ def build_parser():
 
     p = sub.add_parser("sample", parents=[common], help="push source samples forward")
     p.add_argument("checkpoint")
-    p.add_argument("-n", type=int, default=1000)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("-n", type=positive_int, default=1000)
+    p.add_argument("--steps", type=positive_int, default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", parents=[common], help="run a property suite")

@@ -28,6 +28,9 @@ from .integrators import (
 )
 
 SD_BATCHES = 10
+# rows per block streamed through every integration step; 1024 keeps a
+# (rows, 64) float64 activation at 512 KiB, well inside a per-core L2
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -55,47 +58,42 @@ def log_mean_exp(logs):
     return float(logsumexp(logs) - np.log(logs.size))
 
 
+def source_rows(seed, lo, hi, dim):
+    """Standard-normal source rows for sample indices [lo, hi).
+
+    Row i is drawn from its own generator, child i of
+    ``SeedSequence(seed)`` (the child ``spawn`` would hand out), so a
+    sample's draw depends only on (seed, i), never on batching or worker
+    count.
+    """
+    x = np.empty((hi - lo, dim))
+    for row, i in enumerate(range(lo, hi)):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        x[row] = np.random.default_rng(child).standard_normal(dim)
+    return x
+
+
 def draw_source(d_q, d_p, n, seed):
-    """n augmented-source draws, seeded per sample from (seed, index) so the
-    stream is independent of batching and worker count."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    x = np.empty((n, d_q + d_p))
-    for i, child in enumerate(children):
-        x[i] = np.random.default_rng(child).standard_normal(d_q + d_p)
+    """n augmented-source draws, seeded per sample from (seed, index)."""
+    x = source_rows(seed, 0, n, d_q + d_p)
     return x[:, :d_q], x[:, d_q:]
 
 
-def _chunk_log_weights(flow, target, cfg, n_total, lo, hi):
-    """Log-weights for sample indices [lo, hi) of an n_total-sample run."""
-    children = np.random.SeedSequence(cfg.seed).spawn(n_total)[lo:hi]
-    m = hi - lo
-    x = np.empty((m, flow.d_q + flow.d_p))
-    for i, child in enumerate(children):
-        x[i] = np.random.default_rng(child).standard_normal(x.shape[1])
-    q0, p0 = x[:, : flow.d_q], x[:, flow.d_q :]
-    logpi0 = standard_normal_logpdf(x)
-    eps = None
-    if cfg.method == RK4_HUTCHINSON:
-        eps = rademacher_probes(
-            cfg.seed, range(lo, hi), cfg.hutchinson_probes,
-            flow.d_q + flow.d_p,
-        )
+def _integrate_block(flow, q0, p0, cfg, eps):
+    """End state (q1, p1) and dlogp of one block of source rows.
+
+    If the block raises ``IntegrationError`` its rows are integrated one
+    at a time, so only the failing samples come back as NaN.
+    """
     try:
         res = integrate(flow, PhaseState(q=q0, p=p0, t=cfg.t0), cfg,
                         hutchinson_eps=eps)
-        q1, p1 = res.state.q, res.state.p
-        lw = (
-            target.log_density(q1)
-            + standard_normal_logpdf(p1)
-            - (logpi0 + res.dlogp)
-        )
+        return res.state.q, res.state.p, res.dlogp
     except IntegrationError:
-        # whole-chunk failure: fall back to per-sample integration so that
-        # only the offending samples are excluded
-        lw = np.full(m, np.nan)
         q1 = np.full_like(q0, np.nan)
         p1 = np.full_like(p0, np.nan)
-        for i in range(m):
+        dlogp = np.full(len(q0), np.nan)
+        for i in range(len(q0)):
             try:
                 res = integrate(
                     flow, PhaseState(q=q0[i], p=p0[i], t=cfg.t0), cfg,
@@ -103,52 +101,78 @@ def _chunk_log_weights(flow, target, cfg, n_total, lo, hi):
                 )
             except IntegrationError:
                 continue
-            q1[i], p1[i] = res.state.q, res.state.p
-            lw[i] = (
-                target.log_density(res.state.q)
-                + standard_normal_logpdf(res.state.p)
-                - (logpi0[i] + res.dlogp)
-            )
-    return lw, q1, p1
+            q1[i], p1[i], dlogp[i] = res.state.q, res.state.p, res.dlogp
+        return q1, p1, dlogp
 
 
-def log_weights(flow: VerletFlow, target: UnnormalizedDensity, n, cfg,
-                workers=1, return_states=False):
-    """n importance log-weights.
+def push_blocks(flow, cfg, lo, hi, source):
+    """Push sample rows [lo, hi) forward one block at a time.
 
-    Draws, probes and therefore every weight are split per sample from
-    (seed, sample-index), so the result is byte-identical for any worker
-    count.  Integration failures mark weights invalid (NaN) rather than
-    substituting values.
+    Each block of ``BLOCK_ROWS`` rows (the last may be shorter) runs
+    through every integration step before the next starts, so the
+    coefficient-net activations stay in cache.  With ``lo`` a multiple of
+    ``BLOCK_ROWS``, row i always lands in block i // BLOCK_ROWS whatever
+    the split of [0, n), and BLAS rounds a row the same way only within
+    an equal-sized batch.  ``source(a, b)`` returns the source rows
+    [q0 | p0] of [a, b) and their Hutchinson probes (or None).  Yields
+    (a, b, q1, p1, log_model) per block: the end states and their model
+    log-density, NaN for samples whose integration failed.
     """
-    if workers <= 1:
-        lw, q1, p1 = _chunk_log_weights(flow, target, cfg, n, 0, n)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    d_q = flow.d_q
+    for a in range(lo, hi, BLOCK_ROWS):
+        b = min(a + BLOCK_ROWS, hi)
+        x0, eps = source(a, b)
+        q1, p1, dlogp = _integrate_block(flow, x0[:, :d_q], x0[:, d_q:], cfg, eps)
+        yield a, b, q1, p1, standard_normal_logpdf(x0) + dlogp
 
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _chunk_log_weights,
-                    [flow] * workers, [target] * workers, [cfg] * workers,
-                    [n] * workers, bounds[:-1], bounds[1:],
-                )
-            )
-        lw = np.concatenate([part[0] for part in parts])
-        q1 = np.concatenate([part[1] for part in parts])
-        p1 = np.concatenate([part[2] for part in parts])
-    if return_states:
-        return lw, (q1, p1)
+
+def _log_weights_range(flow, target, cfg, lo, hi):
+    """Log-weights for sample indices [lo, hi), ``lo`` block-aligned."""
+    dim = flow.d_q + flow.d_p
+
+    def source(a, b):
+        eps = None
+        if cfg.method == RK4_HUTCHINSON:
+            eps = rademacher_probes(cfg.seed, range(a, b),
+                                    cfg.hutchinson_probes, dim)
+        return source_rows(cfg.seed, a, b, dim), eps
+
+    lw = np.empty(hi - lo)
+    for a, b, q1, p1, log_model in push_blocks(flow, cfg, lo, hi, source):
+        lw[a - lo : b - lo] = (
+            target.log_density(q1) + standard_normal_logpdf(p1) - log_model
+        )
     return lw
 
 
-def log_weight(flow, target, sample_seed, cfg):
-    """Single-sample log importance weight (draw, push forward, score)."""
-    from dataclasses import replace
+def log_weights(flow: VerletFlow, target: UnnormalizedDensity, n, cfg,
+                workers=1):
+    """n importance log-weights.
 
-    lw = log_weights(flow, target, 1, replace(cfg, seed=sample_seed))
-    return float(lw[0])
+    Samples are streamed through ``push_blocks`` in fixed ``BLOCK_ROWS``
+    blocks; with ``workers > 1`` each worker process takes a contiguous
+    run of whole blocks.  Draws and probes are split per sample from
+    (seed, sample-index) and every row is integrated in the same block
+    whatever the worker count, so the result is byte-identical for any
+    ``workers`` and any n.  Integration failures mark weights invalid
+    (NaN) rather than substituting values.
+    """
+    blocks = -(-n // BLOCK_ROWS)
+    workers = max(1, min(workers, blocks))
+    if workers == 1:
+        return _log_weights_range(flow, target, cfg, 0, n)
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.minimum(
+        np.linspace(0, blocks, workers + 1, dtype=int) * BLOCK_ROWS, n
+    )
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(
+            _log_weights_range,
+            [flow] * workers, [target] * workers, [cfg] * workers,
+            bounds[:-1], bounds[1:],
+        )
+        return np.concatenate(list(parts))
 
 
 def _curve_points(n):

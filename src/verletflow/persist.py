@@ -197,4 +197,9 @@ def load_checkpoint(path):
         flow.set_params(params)
     except (KeyError, ValueError) as err:
         raise CheckpointError(f"{path}: bad checkpoint ({err})") from err
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise CheckpointError(
+            f"{path}: {bad.size} non-finite parameters (first at index {bad[0]})"
+        )
     return flow

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import verletflow.checks as checks
+from verletflow import IntegratorConfig, PhaseState, verlet_integrate
 from verletflow.cli import main
+from verletflow.densities import standard_normal_logpdf
 from verletflow.persist import Config, load_checkpoint
 
 
@@ -139,6 +141,23 @@ def test_logz_missing_checkpoint_is_usage_error(tmp_path):
     assert main(["logz", str(tmp_path / "no.txt"), "--samples", "10"]) == 2
 
 
+def test_logz_non_finite_checkpoint_is_usage_error(trained_dir, capsys):
+    path = trained_dir / "checkpoint.txt"
+    lines = path.read_text().splitlines()
+    lines[-1] = "nan"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["logz", str(path), "--samples", "10", "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "logZ" not in captured.out
+
+
+def test_logz_single_sample_is_usage_error(trained_dir, capsys):
+    argv = ["logz", str(trained_dir / "checkpoint.txt"), "--samples", "1"]
+    assert main(argv) == 2
+    assert "at least 2 samples" in capsys.readouterr().err
+
+
 def test_logz_csv_deterministic(trained_dir, tmp_path):
     args = [
         "logz", str(trained_dir / "checkpoint.txt"),
@@ -222,6 +241,42 @@ def test_sample_writes_csv(trained_dir, tmp_path):
     assert len(rows) == 26
     data = np.array([[float(v) for v in r] for r in rows[1:]])
     assert np.all(np.isfinite(data))
+
+
+@pytest.mark.parametrize("command", ["sample", "logz"])
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_non_positive_steps_is_usage_error(trained_dir, tmp_path, capsys,
+                                           command, steps):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                command, str(trained_dir / "checkpoint.txt"),
+                "--steps", steps, "--csv", str(tmp_path / "out.csv"),
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--steps: must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sample_streams_blocks_with_its_own_draws(trained_dir, tmp_path):
+    # more rows than one block; the output matches a one-shot integration
+    # of the same draws (q rows first, then p rows, from one generator)
+    ck, path = trained_dir / "checkpoint.txt", tmp_path / "s.csv"
+    argv = ["sample", str(ck), "-n", "1500", "--steps", "3", "--seed", "4",
+            "--csv", str(path)]
+    assert main(argv) == 0
+    flow = load_checkpoint(ck)
+    rng = np.random.default_rng(4)
+    q0 = rng.standard_normal((1500, 2))
+    p0 = rng.standard_normal((1500, 2))
+    res = verlet_integrate(
+        flow, PhaseState(q=q0, p=p0, t=0.0), IntegratorConfig(steps=3)
+    )
+    log_model = standard_normal_logpdf(np.concatenate([q0, p0], axis=-1)) + res.dlogp
+    want = np.column_stack([res.state.q, res.state.p, log_model])
+    got = np.array([[float(v) for v in r] for r in read_csv(path)[1:]])
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 # -- check -------------------------------------------------------------------

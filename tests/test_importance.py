@@ -7,13 +7,13 @@ from scipy.special import logsumexp
 
 from verletflow import IntegratorConfig, VerletFlow
 from verletflow.densities import UnnormalizedDensity, standard_normal
+import verletflow.importance as importance
 from verletflow.importance import (
     SD_BATCHES,
     benchmark,
     draw_source,
     estimate_logZ,
     log_mean_exp,
-    log_weight,
     log_weights,
 )
 
@@ -55,6 +55,19 @@ def test_log_weights_worker_count_invariance(identity_flow, normal_target):
     assert np.array_equal(lw1, lw3)
 
 
+@pytest.mark.parametrize("n", [1024, 3000])
+def test_log_weights_byte_identical_across_workers(normal_target, n):
+    # a random width-64 flow: chunks split at other than whole blocks
+    # (e.g. 512-row halves) take a different BLAS kernel and change bits
+    flow = VerletFlow.create(2, 2, 1, hidden=(64, 64, 64), seed=0)
+    cfg = IntegratorConfig(steps=5, seed=0)
+    ref = log_weights(flow, normal_target, n, cfg, workers=1)
+    assert np.all(np.isfinite(ref))
+    for workers in (2, 3):
+        lw = log_weights(flow, normal_target, n, cfg, workers=workers)
+        assert lw.tobytes() == ref.tobytes(), f"workers={workers}"
+
+
 def test_log_weights_all_methods_agree_on_identity(identity_flow, normal_target):
     vals = {}
     for method in ("taylor-verlet", "rk4-exact", "rk4-hutchinson"):
@@ -62,11 +75,6 @@ def test_log_weights_all_methods_agree_on_identity(identity_flow, normal_target)
         vals[method] = log_weights(identity_flow, normal_target, 10, cfg)
     for lw in vals.values():
         assert np.allclose(lw, np.log(5.0), atol=1e-10)
-
-
-def test_single_sample_weight(identity_flow, normal_target):
-    w = log_weight(identity_flow, normal_target, 123, IntegratorConfig(steps=5))
-    assert np.isclose(w, np.log(5.0), atol=1e-12)
 
 
 def test_estimate_logz_curve_layout(identity_flow, normal_target):
@@ -113,6 +121,20 @@ def test_invalid_weights_are_nan_and_counted(normal_target):
     finite = rep.log_weights[np.isfinite(rep.log_weights)]
     if finite.size:
         assert np.isclose(rep.logZ, logsumexp(finite) - np.log(finite.size))
+
+
+def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
+    # the same samples are invalid however the rows are blocked, and the
+    # valid weights of a failing block match the block-free values
+    flow = VerletFlow.create(2, 2, order=2, hidden=[2], seed=0).zero_()
+    flow.q_nets[2].net.biases[-1][:] = 200.0
+    cfg = IntegratorConfig(steps=3, seed=0)
+    ref = log_weights(flow, normal_target, 40, cfg)
+    monkeypatch.setattr(importance, "BLOCK_ROWS", 7)
+    lw = log_weights(flow, normal_target, 40, cfg)
+    assert np.isnan(ref).any() and np.isfinite(ref).any()
+    assert np.array_equal(np.isnan(lw), np.isnan(ref))
+    assert np.allclose(lw, ref, rtol=0, atol=1e-12, equal_nan=True)
 
 
 def test_estimate_rejects_tiny_n(identity_flow, normal_target):

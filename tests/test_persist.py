@@ -72,6 +72,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(truncated)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
+    path = tmp_path / "ck.txt"
+    save_checkpoint(path, VerletFlow.create(1, 1, order=0, hidden=[2], seed=0))
+    lines = path.read_text().splitlines()
+    lines[8] = value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(path)
+
+
 def test_config_defaults_and_roundtrip(tmp_path):
     cfg = Config()
     path = tmp_path / "cfg.json"
