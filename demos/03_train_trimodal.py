@@ -1,8 +1,9 @@
 """Train a flow on the trimodal toy target by exact likelihood.
 
 The loss integrates each target sample backwards through the flow and
-scores it against the augmented standard normal; gradients flow through
-the tape-based reverse-mode engine.  A short run is enough to see the NLL
+scores it against the augmented standard normal.  The gradient is one
+reverse sweep of explicit vector-Jacobian products over the substeps the
+loss recorded (coefficient nets, closed-form updates, log-dets); no tape.  A short run is enough to see the NLL
 drop; raise --epochs for a flow good enough for importance sampling.
 """
 

@@ -5,10 +5,11 @@ replays them in reverse to accumulate gradients.  Arrays are treated as
 "feature-last": a value may be a scalar, a vector ``(d,)`` or a batch
 ``(n, d)``, and every primitive broadcasts over leading batch axes.
 
-Only the primitives needed by the flow operators and the likelihood loss
-are provided: add, sub, mul, neg, linear (affine) layers, tanh, exp, log,
-integer/constant powers, last-axis sum, full sum/mean, dot and last-axis
-concatenation.  Everything runs in float64.
+The tape differentiates the RK4 baseline's field for its Jacobian traces;
+training uses the MLP's explicit ``vjp`` instead.  The primitives are add,
+sub, mul, neg, linear (affine) layers, tanh, exp, log, integer/constant
+powers, last-axis sum, full sum/mean, dot and last-axis concatenation.
+Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class Tape:
 
     def __len__(self):
         return len(self.nodes)
+
+    def clear(self):
+        """Drop every node.  Each node refers back to its tape, so a tape
+        that is done with is cyclic garbage until cleared."""
+        self.nodes.clear()
 
 
 class Var:
@@ -285,8 +291,10 @@ def grad(output, seed, wrt):
     if seed.shape != output.value.shape:
         raise ValueError("seed shape must match output shape")
     grads = {output.index: seed.copy()}
+    keep = {v.index for v in wrt}
     for node in reversed(tape.nodes[: output.index + 1]):
-        g = grads.get(node.index)
+        # a node's cotangent is complete once the sweep reaches it
+        g = grads.get(node.index) if node.index in keep else grads.pop(node.index, None)
         if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
@@ -358,38 +366,62 @@ class Mlp:
     def out_dim(self):
         return self.layer_sizes[-1]
 
-    def __call__(self, x):
-        """Plain numpy forward pass; ``x`` is ``(in_dim,)`` or ``(n, in_dim)``."""
+    def __call__(self, x, acts=None):
+        """Plain numpy forward pass; ``x`` is ``(in_dim,)`` or ``(n, in_dim)``.
+
+        ``acts``, if given, is a list that receives the input of every
+        layer (``x`` and each hidden activation), which ``vjp`` reads back.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.in_dim:
             raise ValueError(
                 f"input dim {x.shape[-1]} != first layer size {self.in_dim}"
             )
+        if acts is not None:
+            acts.append(x)
         # bias and tanh in place on the matmul result: one fresh array per layer
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             x = x @ w.T
             x += b
             np.tanh(x, out=x)
+            if acts is not None:
+                acts.append(x)
         x = x @ self.weights[-1].T
         x += self.biases[-1]
         return x
 
-    def forward(self, x, params=None):
-        """Forward pass through taped or plain inputs.
+    def vjp(self, acts, g, grad):
+        """Reverse sweep of one recorded ``__call__``.
 
-        ``params`` may supply taped weight/bias Vars (as returned by
-        ``param_vars``) so that gradients reach the parameters.
+        ``acts`` are the layer inputs that call recorded and ``g`` is the
+        cotangent of its output.  Parameter gradients are added into the
+        flat array ``grad`` (``get_params`` layout); the input cotangent is
+        returned.
         """
-        ws, bs = params if params is not None else (self.weights, self.biases)
+        views = []
+        i = 0
+        for w, b in zip(self.weights, self.biases):
+            views.append((grad[i : i + w.size].reshape(w.shape),
+                          grad[i + w.size : i + w.size + b.size]))
+            i += w.size + b.size
+        for li in range(len(self.weights) - 1, -1, -1):
+            a = acts[li]
+            gw, gb = views[li]
+            g2 = g.reshape(-1, g.shape[-1])
+            gw += g2.T @ a.reshape(-1, a.shape[-1])
+            gb += g2.sum(axis=0)
+            g = g @ self.weights[li]
+            if li > 0:
+                g *= 1.0 - a * a  # a = tanh of the layer below
+        return g
+
+    def forward(self, x):
+        """Forward pass recorded on the tape of a Var input."""
         if isinstance(x, Var) and x.value.shape[-1] != self.in_dim:
             raise ValueError("input dim mismatch")
-        for w, b in zip(ws[:-1], bs[:-1]):
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
             x = tanh(linear(x, w, b))
-        return linear(x, ws[-1], bs[-1])
-
-    def param_vars(self, tape):
-        """Record every weight and bias as a leaf Var on ``tape``."""
-        return [tape.var(w) for w in self.weights], [tape.var(b) for b in self.biases]
+        return linear(x, self.weights[-1], self.biases[-1])
 
     def get_params(self):
         """Flatten parameters layer-major (W then b per layer), row-major."""

@@ -18,6 +18,7 @@ from . import checks, svg
 from .importance import benchmark as run_benchmark
 from .importance import estimate_logZ, log_weights, push_blocks
 from .integrators import METHODS, IntegrationError, IntegratorConfig
+from .operators import UnsupportedModeError
 from .persist import CheckpointError, Config, ConfigError, load_checkpoint, save_checkpoint
 from .training import train
 
@@ -80,7 +81,11 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     target = config.build_target()
     flow = config.build_flow()
-    flow, report = train(target.base, config.train, flow=flow)
+    try:
+        flow, report = train(target.base, config.train, flow=flow)
+    except UnsupportedModeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     save_checkpoint(out / "checkpoint.txt", flow)
     with open(out / "nll.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -26,42 +26,35 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhaseState:
-    """A point (q, p, t) in phase-time space plus the accumulated log-density
-    change.  ``q``/``p`` are vectors ``(d,)`` or batches ``(n, d)``; during
-    taped integration they may be autodiff Vars."""
+    """A point (q, p) in phase space at time t plus the accumulated
+    log-density change.  ``q``/``p`` are vectors ``(d,)`` or batches
+    ``(n, d)``."""
 
-    q: object
-    p: object
+    q: np.ndarray
+    p: np.ndarray
     t: float
     dlogp: object = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.q, Var):
-            object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
-        if not isinstance(self.p, Var):
-            object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
-        q, p = _value(self.q), _value(self.p)
-        if q.shape[-1] < 1 or p.shape[-1] < 1:
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
+        object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
+        if self.q.shape[-1] < 1 or self.p.shape[-1] < 1:
             raise ValueError("q and p must each have dimension >= 1")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
             raise ValueError("non-finite phase-space coordinates")
         if not 0.0 <= self.t <= 1.0 + 1e-12:
             raise ValueError(f"t={self.t} outside [0, 1]")
 
     @property
     def d_q(self):
-        return _value(self.q).shape[-1]
+        return self.q.shape[-1]
 
     @property
     def d_p(self):
-        return _value(self.p).shape[-1]
+        return self.p.shape[-1]
 
     def with_(self, **kw):
         return replace(self, **kw)
-
-
-def _value(x):
-    return x.value if isinstance(x, Var) else x
 
 
 # output forms for the k=1 coefficient
@@ -91,16 +84,21 @@ class CoefficientNet:
         if self.order == 1 and self.form not in (DIAGONAL, DENSE):
             raise ValueError(f"bad k=1 form {self.form!r}")
 
-    def __call__(self, opposite, t):
-        """Realize the coefficient at (opposite-variable, t); plain numpy."""
-        opposite = np.asarray(opposite, dtype=np.float64)
-        tcol = np.full(opposite.shape[:-1] + (1,), float(t))
-        return self.net(np.concatenate([opposite, tcol], axis=-1))
+    def __call__(self, opposite, t, acts=None):
+        """Realize the coefficient at (opposite-variable, t); plain numpy.
 
-    def taped(self, opposite, t, params=None):
+        ``acts`` is passed on to ``Mlp.__call__`` to record the activations.
+        """
+        opposite = np.asarray(opposite, dtype=np.float64)
+        x = np.empty(opposite.shape[:-1] + (opposite.shape[-1] + 1,))
+        x[..., :-1] = opposite
+        x[..., -1] = t
+        return self.net(x, acts)
+
+    def taped(self, opposite, t):
         """Same as ``__call__`` but recorded on the opposite variable's tape."""
         x = ad.concat_last(opposite, np.array([float(t)]))
-        return self.net.forward(x, params=params)
+        return self.net.forward(x)
 
 
 class VerletFlow:
@@ -157,7 +155,7 @@ class VerletFlow:
         if k > self.order:
             raise OrderError(f"order {k} > flow order {self.order}")
         opp = state.p if side == "q" else state.q
-        return self.nets(side)[k](_value(opp), state.t)
+        return self.nets(side)[k](opp, state.t)
 
     def zero_(self):
         """Zero every coefficient net's output layer (identity flow)."""
@@ -170,7 +168,7 @@ class VerletFlow:
     def eval_term(self, side, k, state: PhaseState):
         """One Taylor term: s_k applied k-fold to the same-side variable."""
         coeff = self.coefficient(side, k, state)
-        x = _value(state.q if side == "q" else state.p)
+        x = state.q if side == "q" else state.p
         return apply_coefficient(coeff, x, k, self.nets(side)[k].form)
 
     def eval_field(self, state: PhaseState):
@@ -237,12 +235,11 @@ def apply_coefficient(coeff, x, k, form=DIAGONAL):
         return coeff
     if k == 1:
         if form == DENSE:
-            cv = _value(coeff)
-            d = _value(x).shape[-1]
             if isinstance(coeff, Var) or isinstance(x, Var):
                 raise NotImplementedError("dense k=1 is inference-only")
-            mat = cv.reshape(cv.shape[:-1] + (d, d))
-            return np.einsum("...ij,...j->...i", mat, _value(x))
+            d = x.shape[-1]
+            mat = coeff.reshape(coeff.shape[:-1] + (d, d))
+            return np.einsum("...ij,...j->...i", mat, x)
         return ad.mul(coeff, x)
     return ad.mul(coeff, ad.powc(x, k))
 

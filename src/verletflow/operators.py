@@ -1,13 +1,12 @@
-"""Closed-form split updates for one Taylor term, their inverses, and their
-exact log-determinants.
+"""Closed-form split updates for one Taylor term, their inverses, their
+exact log-determinants, and their vector-Jacobian products.
 
 Each operator acts on one side (q or p) with the coefficient realized at the
 current opposite variable and time, which a same-side step never touches, so
 forward steps are exactly invertible by re-evaluating the coefficient.
 
-All functions accept plain arrays (vector or batch) or autodiff Vars; the
-log-det is returned per sample (a scalar for vector inputs, shape ``(n,)``
-for batches).
+All functions take plain arrays (vector or batch); the log-det is returned
+per sample (a scalar for vector inputs, shape ``(n,)`` for batches).
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
-from .autodiff import Var
 
 SINGULARITY_MARGIN = 1e-12
 
@@ -45,13 +41,8 @@ class OperatorStep:
     form: str = "diagonal"  # order-1 only
 
 
-def _value(x):
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
 def _zeros_like_logdet(x):
-    v = _value(x)
-    return np.zeros(v.shape[:-1])
+    return np.zeros(np.shape(x)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -77,23 +68,20 @@ def apply_order1(x, s1, tau, form="diagonal"):
     Diagonal form scales elementwise.  Dense form applies a true matrix
     exponential (scaling-and-squaring) and is inference-only.
     """
+    x = np.asarray(x, dtype=np.float64)
+    s1 = np.asarray(s1, dtype=np.float64)
     if form == "dense":
-        if isinstance(x, Var) or isinstance(s1, Var):
-            raise UnsupportedModeError("dense k=1 steps cannot be taped")
-        xv, sv = _value(x), _value(s1)
-        d = xv.shape[-1]
-        mats = sv.reshape(sv.shape[:-1] + (d, d))
+        d = x.shape[-1]
+        mats = s1.reshape(s1.shape[:-1] + (d, d))
         em = expm(tau * mats)
-        y = np.einsum("...ij,...j->...i", em, xv)
+        y = np.einsum("...ij,...j->...i", em, x)
         logdet = tau * np.trace(mats, axis1=-2, axis2=-1)
         return y, logdet
-    scale = ad.exp(ad.mul(tau, s1))
-    return ad.mul(scale, x), ad.mul(tau, ad.sum_last(s1))
+    return np.exp(tau * s1) * x, tau * s1.sum(axis=-1)
 
 
 def invert_order1(x, s1, tau, form="diagonal"):
-    y, logdet = apply_order1(x, s1, -tau, form=form)
-    return y, logdet
+    return apply_order1(x, s1, -tau, form=form)
 
 
 # ---------------------------------------------------------------------------
@@ -109,28 +97,29 @@ def invert_order1(x, s1, tau, form="diagonal"):
 
 
 def _orderk_transform(x, sk, k, tau):
-    xv, sv = _value(x), _value(sk)
-    small = np.abs(xv) <= SINGULARITY_MARGIN
+    x = np.asarray(x, dtype=np.float64)
+    sk = np.asarray(sk, dtype=np.float64)
+    small = np.abs(x) <= SINGULARITY_MARGIN
     if np.any(small):
         comp = int(np.argwhere(small)[0][-1])
         raise SingularityError(
             f"zero coordinate in order-{k} step (component {comp})", component=comp
         )
-    sgn = np.sign(xv)
-    base0 = xv ** (1 - k)  # sign of x for even k, positive for odd k
-    base1 = base0 + tau * (1 - k) * sv
+    sgn = np.sign(x)
+    base0 = x ** (1 - k)  # sign of x for even k, positive for odd k
+    base1 = base0 + tau * (1 - k) * sk
     bad = (np.sign(base1) != np.sign(base0)) | (np.abs(base1) <= SINGULARITY_MARGIN)
     if np.any(bad):
         comp = int(np.argwhere(bad)[0][-1])
         raise SingularityError(
             f"order-{k} step base crosses zero (component {comp})", component=comp
         )
-    # |base| via constant sign factors so the expression stays differentiable
+    # |base| through the constant sign factor sgn_b
     sgn_b = np.sign(base1)
-    base = ad.add(ad.mul(sgn_b, ad.powc(x, 1 - k)), ad.mul(sgn_b * tau * (1 - k), sk))
-    y = ad.mul(sgn, ad.powc(base, 1.0 / (1 - k)))
-    logdet = float(k) * ad.sub(
-        ad.sum_last(ad.log(ad.mul(sgn, y))), ad.sum_last(ad.log(ad.mul(sgn, x)))
+    base = sgn_b * x ** float(1 - k) + (sgn_b * tau * (1 - k)) * sk
+    y = sgn * base ** (1.0 / (1 - k))
+    logdet = float(k) * (
+        np.log(sgn * y).sum(axis=-1) - np.log(sgn * x).sum(axis=-1)
     )
     return y, logdet
 
@@ -172,6 +161,37 @@ def invert_step(step: OperatorStep, x):
     if step.order == 1:
         return invert_order1(x, step.coeff, step.tau, form=step.form)
     return invert_orderk(x, step.coeff, step.order, step.tau)
+
+
+# ---------------------------------------------------------------------------
+# vector-Jacobian products
+
+
+def step_vjp(step: OperatorStep, x, y, gy, gl):
+    """Cotangents (gx, gc) of x and of the coefficient for
+    ``y, logdet = apply_step(step, x)``, given the cotangents gy of y and
+    gl of the per-sample logdet.
+
+    An inverse step is the forward step with tau negated, so
+    ``invert_step(step, x)`` differentiates as ``apply_step`` at -tau.
+    """
+    tau, k = step.tau, step.order
+    gl = np.expand_dims(gl, -1)
+    if k == 0:
+        # y = x + tau*s, logdet = 0
+        return gy, tau * gy
+    if k == 1:
+        if step.form != "diagonal":
+            raise UnsupportedModeError("dense k=1 steps are inference-only")
+        # y = exp(tau*s) x, logdet = tau*sum(s)
+        return gy * np.exp(tau * step.coeff), tau * (gy * y + gl)
+    # y^(1-k) = x^(1-k) + tau*(1-k)*s and logdet = k*sum(log|y| - log|x|);
+    # implicit differentiation gives dy/dx = (y/x)^k and dy/ds = tau*y^k
+    r = y / x
+    rk1 = r ** (k - 1)
+    gx = gy * rk1 * r + k * gl * (rk1 - 1.0) / x
+    gc = tau * y ** (k - 1) * (gy * y + k * gl)
+    return gx, gc
 
 
 # ---------------------------------------------------------------------------

@@ -317,10 +317,8 @@ def test_criterion_8_gradient_suite():
     flow = VerletFlow.create(2, 2, order=1, hidden=[6], seed=3)
     cfg = TrainConfig(epochs=1, batch_size=8, steps=3, seed=0, hidden_sizes=(6,))
     q = default_trimodal().sample(8, seed=4)
-    from verletflow.autodiff import Tape as T
-
-    loss, params = nll_batch(flow, q, cfg, np.random.default_rng(5), tape=T())
-    g = params.grad_flat(loss)
+    _, params = nll_batch(flow, q, cfg, np.random.default_rng(5), record=True)
+    g = params.grad_flat()
     p0 = flow.get_params()
     h = 1e-6
     worst_e2e = 0.0

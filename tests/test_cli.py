@@ -61,6 +61,18 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config", [{"train": {"steps": 0}}, {"k1_form": "dense", "hidden_sizes": [4]}],
+    ids=["zero-steps", "dense-k1"],
+)
+def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_train_missing_config_is_usage_error(tmp_path):
     assert main(["train", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 

@@ -1,5 +1,8 @@
 """Taylor-Verlet and RK4 integration: analytic oracles, exact inversion,
-cross-method agreement, and probe/seed plumbing."""
+the recorded reverse sweep, cross-method agreement, and probe/seed
+plumbing."""
+
+import gc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from verletflow.integrators import (
     rademacher_probes,
     rk4_integrate,
     verlet_integrate,
+    verlet_vjp,
 )
 
 
@@ -137,6 +141,50 @@ def test_roundtrip_higher_order(rng):
     )
     assert np.abs(back.state.q - q).max() < 1e-9
     assert abs(float(back.dlogp)) < 1e-9
+
+
+# -- recorded reverse sweep --------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)], ids=["fwd", "rev"])
+def test_verlet_vjp_matches_fd(order, t0, t1, rng):
+    """Parameter gradient of <wq, q1> + <wp, p1> + <wl, dlogp> through a
+    recorded run, in both directions, against finite differences."""
+    flow = VerletFlow.create(2, 2, order=order, hidden=[5], seed=20 + order)
+    for c in flow.q_nets[2:] + flow.p_nets[2:]:
+        c.net.weights[-1] *= 0.05
+    cfg = IntegratorConfig(t0=t0, t1=t1, steps=3)
+    start = PhaseState(q=rng.uniform(0.5, 1.5, (4, 2)),
+                       p=rng.uniform(0.5, 1.5, (4, 2)), t=t0)
+    wq, wp = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+    wl = rng.standard_normal(4)
+
+    def objective():
+        res = verlet_integrate(flow, start, cfg)
+        return float((wq * res.state.q).sum() + (wp * res.state.p).sum()
+                     + (wl * res.dlogp).sum())
+
+    record = []
+    plain = verlet_integrate(flow, start, cfg)
+    res = verlet_integrate(flow, start, cfg, record)
+    assert np.array_equal(res.state.q, plain.state.q)
+    assert np.array_equal(res.dlogp, plain.dlogp)
+    assert len(record) == res.field_evaluations
+    g = verlet_vjp(flow, start, record, wq, wp, wl)
+    p0 = flow.get_params()
+    h = 1e-6
+    for i in rng.choice(p0.size, size=30, replace=False):
+        pert = p0.copy()
+        pert[i] += h
+        flow.set_params(pert)
+        fp = objective()
+        pert[i] -= 2 * h
+        flow.set_params(pert)
+        fm = objective()
+        fd = (fp - fm) / (2 * h)
+        assert abs(g[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+    flow.set_params(p0)
 
 
 # -- cross-method agreement --------------------------------------------------
@@ -268,3 +316,17 @@ def test_more_probes_reduce_variance(small_flow, rng):
         return np.sqrt(np.mean((np.array(vals) - exact) ** 2))
 
     assert spread(8) < spread(1)
+
+
+@pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
+def test_rk4_traces_leave_no_cyclic_garbage(small_flow, rng, method):
+    # a trace tape is freed by refcount once the trace is taken
+    state = PhaseState(q=rng.standard_normal((8, 2)),
+                       p=rng.standard_normal((8, 2)), t=0.0)
+    gc.collect()
+    gc.disable()
+    try:
+        rk4_integrate(small_flow, state, IntegratorConfig(steps=2, method=method))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,17 +1,18 @@
-"""Closed-form split updates: values, inverses, and exact log-dets.
+"""Closed-form split updates: values, inverses, exact log-dets and VJPs.
 
 Oracles: hand-computable examples for each order, finite-difference
-Jacobians for log-dets, the dense tensor contraction for the sparse
-higher-order form, and scipy.linalg.expm for the dense matrix exponential.
+Jacobians for log-dets and vector-Jacobian products, the dense tensor
+contraction for the sparse higher-order form, and scipy.linalg.expm for the
+dense matrix exponential.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import verletflow.autodiff as ad
 import verletflow.operators as ops
-from verletflow.autodiff import Tape
 from verletflow.flow import dense_contraction_oracle
 from verletflow.operators import OperatorStep, SingularityError, UnsupportedModeError
 
@@ -92,10 +93,12 @@ def test_order1_dense_batch_and_inverse(rng):
 
 
 def test_order1_dense_rejects_tape(rng):
-    tape = Tape()
-    x = tape.var(rng.standard_normal(2))
+    # dense k=1 is inference-only: it has no VJP to record for training
+    x = rng.standard_normal(2)
+    step = OperatorStep("q", 1, 0.1, rng.standard_normal(4), form="dense")
+    y, _ = ops.apply_step(step, x)
     with pytest.raises(UnsupportedModeError):
-        ops.apply_order1(x, rng.standard_normal(4), 0.1, form="dense")
+        ops.step_vjp(step, x, y, np.ones(2), 0.0)
 
 
 def test_expm_matches_scipy_stacked(rng):
@@ -256,29 +259,69 @@ def test_batch_logdet_shape(rng):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_taped_step_matches_plain_and_grads(order, rng):
+    # the x-cotangent of d(sum y)/dx against finite differences, forward
+    # and inverse (an inverse step differentiates as the forward one at -tau)
     x = rng.uniform(0.5, 1.5, size=4)
     c = rng.uniform(-0.2, 0.2, size=4)
-    step = OperatorStep("q", order, 0.3, c)
-    y_plain, ld_plain = ops.apply_step(step, x)
+    for tau, run in ((0.3, ops.apply_step), (-0.3, ops.invert_step)):
+        step = OperatorStep("q", order, abs(tau), c)
+        y, _ = run(step, x)
+        g, _ = ops.step_vjp(OperatorStep("q", order, tau, c), x, y,
+                            np.ones(4), 0.0)
+        h = 1e-6
+        g_fd = np.empty(4)
+        for j in range(4):
+            dx = np.zeros(4)
+            dx[j] = h
+            g_fd[j] = (run(step, x + dx)[0].sum()
+                       - run(step, x - dx)[0].sum()) / (2 * h)
+        assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-8)
 
-    tape = Tape()
-    xv = tape.var(x)
-    y, ld = ops.apply_step(OperatorStep("q", order, 0.3, c), xv)
-    assert np.array_equal(y.value, y_plain)
-    assert np.allclose(np.asarray(ld.value if hasattr(ld, "value") else ld),
-                       np.asarray(ld_plain), atol=0.0)
-    # d(sum y)/dx vs finite differences
-    (g,) = ad.grad(ad.sum_all(y), np.asarray(1.0), [xv])
-    h = 1e-6
-    g_fd = np.empty(4)
-    for j in range(4):
-        dx = np.zeros(4)
-        dx[j] = h
-        g_fd[j] = (
-            ops.apply_step(step, x + dx)[0].sum()
-            - ops.apply_step(step, x - dx)[0].sum()
-        ) / (2 * h)
-    assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-8)
+
+def _fd(f, x, h=1e-6):
+    """Central-difference gradient of scalar f at x (x is not modified)."""
+    g = np.empty_like(x)
+    for i in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (f(xp) - f(xm)) / (2 * h)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(0, 3),
+    dim=st.integers(1, 4),
+    rows=st.sampled_from([None, 1, 3]),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_vjp_matches_fd(order, dim, rows, sign, seed):
+    """(gx, gc) of <wy, y> + <wl, logdet> for every order, both signs of
+    tau, dims 1-4, vector and batch shapes."""
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if rows is None else (rows, dim)
+    tau = sign * rng.uniform(0.05, 0.4)
+    x = rng.uniform(0.5, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    # keep |tau*(k-1)*s| below half the smallest |x|^(1-k): no base crosses 0
+    s_max = 0.5 * (1.0 / 1.5) ** max(order - 1, 0) / (0.4 * max(order - 1, 1))
+    c = rng.uniform(-s_max, s_max, size=shape)
+    wy = rng.standard_normal(shape)
+    wl = rng.standard_normal(shape[:-1])
+    step = OperatorStep("q", order, tau, c)
+
+    def objective(xx, cc):
+        y, logdet = ops.apply_step(OperatorStep("q", order, tau, cc), xx)
+        return float((wy * y).sum() + (wl * logdet).sum())
+
+    y, _ = ops.apply_step(step, x)
+    gx, gc = ops.step_vjp(step, x, y, wy, wl)
+    fd_x = _fd(lambda xx: objective(xx, c), x)
+    fd_c = _fd(lambda cc: objective(x, cc), c)
+    assert gx.shape == shape and np.shape(gc) == shape
+    assert np.allclose(gx, fd_x, rtol=1e-6, atol=1e-7)
+    assert np.allclose(gc, fd_c, rtol=1e-6, atol=1e-7)
 
 
 def test_sparse_contraction_matches_dense_oracle(rng):

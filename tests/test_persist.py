@@ -106,6 +106,8 @@ def test_config_validation_errors(tmp_path):
         Config.from_dict({"dims": {"d_q": 0}})
     with pytest.raises(ConfigError):
         Config.from_dict({"target": {"type": "uniform"}})
+    with pytest.raises(ConfigError):
+        Config.from_dict({"train": {"steps": 0}})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):

@@ -1,12 +1,15 @@
-"""Likelihood training: taped and plain losses agree exactly, gradients
-match finite differences, training is deterministic and actually learns."""
+"""Likelihood training: recorded and plain losses agree exactly, the
+reverse-sweep gradient matches finite differences at every Taylor order,
+training is deterministic and actually learns."""
+
+import gc
 
 import numpy as np
 import pytest
 
 from verletflow import VerletFlow
-from verletflow.autodiff import Tape
 from verletflow.densities import default_trimodal, standard_normal
+from verletflow.operators import UnsupportedModeError
 from verletflow.training import Adam, TrainConfig, nll_batch, train
 
 
@@ -25,29 +28,51 @@ def test_config_validation():
         TrainConfig(hidden_sizes=())
     with pytest.raises(ValueError):
         TrainConfig(optimizer="sgd")
+    with pytest.raises(ValueError):
+        TrainConfig(steps=0)
+
+
+def test_train_rejects_dense_k1_before_first_epoch(monkeypatch):
+    import verletflow.training as tr
+
+    calls = []
+    real = tr.nll_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "nll_batch", counted)
+    with pytest.raises(UnsupportedModeError):
+        tr.train(default_trimodal(), tiny_cfg(), k1_form="dense")
+    assert calls == []
 
 
 def test_taped_and_plain_losses_agree_exactly(rng):
+    # the recorded run (TapedFlowParams) and the plain run share one code path
     flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=1)
     cfg = tiny_cfg()
     q = default_trimodal().sample(16, seed=0)
     plain = nll_batch(flow, q, cfg, np.random.default_rng(7))
-    loss, _ = nll_batch(flow, q, cfg, np.random.default_rng(7), tape=Tape())
-    assert float(loss.value) == plain  # identical arithmetic, not just close
+    loss, _ = nll_batch(flow, q, cfg, np.random.default_rng(7), record=True)
+    assert loss == plain  # identical arithmetic, not just close
 
 
-def test_nll_gradient_matches_fd(rng):
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=2)
-    cfg = tiny_cfg(steps=2)
-    q = default_trimodal().sample(8, seed=1)
-    tape = Tape()
-    loss, params = nll_batch(flow, q, cfg, np.random.default_rng(3), tape=tape)
-    g = params.grad_flat(loss)
+def damped_flow(order, seed, hidden=(4,)):
+    """Random flow whose k >= 2 coefficients are scaled down so the
+    higher-order closed forms stay clear of their singular set."""
+    flow = VerletFlow.create(2, 2, order=order, hidden=list(hidden), seed=seed)
+    for c in flow.q_nets[2:] + flow.p_nets[2:]:
+        c.net.weights[-1] *= 0.05
+    return flow
 
+
+def assert_nll_gradient_matches_fd(flow, cfg, q, rng, picks=40, h=1e-6):
+    _, params = nll_batch(flow, q, cfg, np.random.default_rng(3), record=True)
+    g = params.grad_flat()
     p0 = flow.get_params()
-    h = 1e-6
-    idx = rng.choice(p0.size, size=40, replace=False)
-    for i in idx:
+    assert g.shape == p0.shape
+    for i in rng.choice(p0.size, size=min(picks, p0.size), replace=False):
         pert = p0.copy()
         pert[i] = p0[i] + h
         flow.set_params(pert)
@@ -58,6 +83,34 @@ def test_nll_gradient_matches_fd(rng):
         fd = (fp - fm) / (2 * h)
         assert abs(g[i] - fd) <= 1e-3 * max(1.0, abs(fd))
     flow.set_params(p0)
+
+
+def test_nll_gradient_matches_fd(rng):
+    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=2)
+    q = default_trimodal().sample(8, seed=1)
+    assert_nll_gradient_matches_fd(flow, tiny_cfg(steps=2), q, rng)
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_nll_gradient_matches_fd_other_orders(order, rng):
+    flow = damped_flow(order, seed=10 + order)
+    q = default_trimodal().sample(8, seed=1)
+    assert_nll_gradient_matches_fd(flow, tiny_cfg(steps=2), q, rng)
+
+
+def test_recorded_nll_leaves_no_cyclic_garbage():
+    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=1)
+    q = default_trimodal().sample(16, seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        _, params = nll_batch(flow, q, tiny_cfg(), np.random.default_rng(7),
+                              record=True)
+        params.grad_flat()
+        del params
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nll_batch_rejects_bad_shapes():
@@ -141,13 +194,12 @@ def test_train_divergence_keeps_last_good_params(monkeypatch):
     calls = {"n": 0}
     real = tr.nll_batch
 
-    def flaky(flow, q, cfg, rng, tape=None):
+    def flaky(flow, q, cfg, rng, *, record=False):
         calls["n"] += 1
         if calls["n"] == 3:  # poison the third epoch
-            loss, params = real(flow, q, cfg, rng, tape=tape)
-            loss.value[()] = np.nan
-            return loss, params
-        return real(flow, q, cfg, rng, tape=tape)
+            _, params = real(flow, q, cfg, rng, record=record)
+            return float("nan"), params
+        return real(flow, q, cfg, rng, record=record)
 
     monkeypatch.setattr(tr, "nll_batch", flaky)
     flow, rep = tr.train(target, tiny_cfg(epochs=10))
