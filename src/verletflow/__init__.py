@@ -10,7 +10,6 @@ from .importance import WeightReport, benchmark, estimate_logZ, log_weights
 from .integrators import (
     IntegrationResult,
     IntegratorConfig,
-    hutchinson_trace,
     integrate,
     rk4_integrate,
     verlet_integrate,
@@ -47,7 +46,6 @@ __all__ = [
     "benchmark",
     "default_trimodal",
     "estimate_logZ",
-    "hutchinson_trace",
     "integrate",
     "invert_step",
     "jacobian",

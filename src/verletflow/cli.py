@@ -77,8 +77,6 @@ def cmd_train(args):
         return EXIT_USAGE
     if args.seed is not None:
         config.train.seed = args.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     target = config.build_target()
     flow = config.build_flow()
     try:
@@ -86,6 +84,9 @@ def cmd_train(args):
     except UnsupportedModeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    # created only once training was accepted: a rejected run leaves nothing
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.txt", flow)
     with open(out / "nll.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -124,6 +125,9 @@ def cmd_logz(args):
     except IntegrationError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    if report.invalid_count == n:
+        print(f"numeric failure: all {n} samples failed", file=sys.stderr)
+        return EXIT_NUMERIC
     if args.csv:
         _write_report_csv(args.csv, [report])
     if args.svg:
@@ -155,6 +159,10 @@ def cmd_weights_hist(args):
     except IntegrationError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    finite = lw[np.isfinite(lw)]
+    if finite.size == 0:
+        print(f"numeric failure: all {n} samples failed", file=sys.stderr)
+        return EXIT_NUMERIC
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -168,7 +176,6 @@ def cmd_weights_hist(args):
                     lw.tolist(), title=f"log importance weights ({cfg.method})"
                 )
             )
-    finite = lw[np.isfinite(lw)]
     print(
         f"{finite.size} weights [{cfg.method}]: min={finite.min():.3f} "
         f"max={finite.max():.3f}"

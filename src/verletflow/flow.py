@@ -95,6 +95,7 @@ class CoefficientNet:
         x[..., -1] = t
         return self.net(x, acts)
 
+    # kept by name: the benchmark's trace table wraps it
     def taped(self, opposite, t):
         """Same as ``__call__`` but recorded on the opposite variable's tape."""
         x = ad.concat_last(opposite, np.array([float(t)]))
@@ -150,12 +151,13 @@ class VerletFlow:
     def nets(self, side):
         return self.q_nets if side == "q" else self.p_nets
 
-    def coefficient(self, side, k, state: PhaseState):
-        """Realized coefficient value s_k^side(opposite, t)."""
+    def coefficient(self, side, k, state: PhaseState, acts=None):
+        """Realized coefficient value s_k^side(opposite, t); ``acts`` is
+        passed on to record the net's activations."""
         if k > self.order:
             raise OrderError(f"order {k} > flow order {self.order}")
         opp = state.p if side == "q" else state.q
-        return self.nets(side)[k](opp, state.t)
+        return self.nets(side)[k](opp, state.t, acts)
 
     def zero_(self):
         """Zero every coefficient net's output layer (identity flow)."""
@@ -165,19 +167,30 @@ class VerletFlow:
 
     # -- field evaluation ---------------------------------------------------
 
-    def eval_term(self, side, k, state: PhaseState):
-        """One Taylor term: s_k applied k-fold to the same-side variable."""
-        coeff = self.coefficient(side, k, state)
+    def eval_term(self, side, k, state: PhaseState, record=None):
+        """One Taylor term: s_k applied k-fold to the same-side variable.
+
+        ``record``, if a list, receives ``(coeff, acts)``: the realized
+        coefficient and its net's layer inputs.
+        """
+        acts = None if record is None else []
+        coeff = self.coefficient(side, k, state, acts)
+        if record is not None:
+            record.append((coeff, acts))
         x = state.q if side == "q" else state.p
         return apply_coefficient(coeff, x, k, self.nets(side)[k].form)
 
-    def eval_field(self, state: PhaseState):
-        """(dq/dt, dp/dt): the per-side sums over k = 0..order."""
+    def eval_field(self, state: PhaseState, record=None):
+        """(dq/dt, dp/dt): the per-side sums over k = 0..order.
+
+        ``record``, if a list, receives one ``eval_term`` record per
+        (side, k), q-side first and k ascending, for ``field_vjp``.
+        """
         out = []
         for side in ("q", "p"):
-            total = self.eval_term(side, 0, state)
+            total = self.eval_term(side, 0, state, record)
             for k in range(1, self.order + 1):
-                total = total + self.eval_term(side, k, state)
+                total = total + self.eval_term(side, k, state, record)
             if not np.all(np.isfinite(total)):
                 bad = [
                     k
@@ -188,6 +201,38 @@ class VerletFlow:
             out.append(total)
         return tuple(out)
 
+    def field_vjp(self, state: PhaseState, record, g_q, g_p):
+        """Cotangents of (q, p) given cotangents ``g_q``, ``g_p`` of the
+        field that ``eval_field(state, record)`` evaluated.
+
+        A cotangent may be None (zero; its side's nets are then skipped) or
+        carry leading seed axes in front of the state's shape.  Each side
+        runs k descending, the order a reverse sweep over the evaluation
+        takes, and the result for a side is its own terms' cotangent plus
+        the opposite side's nets' input cotangent.
+        """
+        out = {"q": None, "p": None}
+        for j, (side, opp, g) in enumerate((("q", "p", g_q), ("p", "q", g_p))):
+            if g is None:
+                continue
+            x = state.q if side == "q" else state.p
+            g_x = g_opp = None
+            for k in range(self.order, -1, -1):
+                coeff, acts = record[j * (self.order + 1) + k]
+                c = self.nets(side)[k]
+                gx_k, g_c = coefficient_vjp(coeff, x, k, c.form, g)
+                if gx_k is not None:
+                    g_x = gx_k if g_x is None else g_x + gx_k
+                # the last input column is the time feature
+                g_in = c.net.vjp(acts, g_c)[..., :-1]
+                g_opp = g_in if g_opp is None else g_opp + g_in
+            if g_x is None:  # order 0: no term depends on its own side
+                g_x = np.zeros(np.broadcast_shapes(g.shape, x.shape))
+            out[side] = g_x if out[side] is None else out[side] + g_x
+            out[opp] = g_opp if out[opp] is None else out[opp] + g_opp
+        return out["q"], out["p"]
+
+    # kept by name: the benchmark's trace table wraps it
     def eval_field_taped(self, q, p, t):
         """Field evaluation through the tape; ``q``/``p`` are Vars."""
         out = []
@@ -242,6 +287,28 @@ def apply_coefficient(coeff, x, k, form=DIAGONAL):
             return np.einsum("...ij,...j->...i", mat, x)
         return ad.mul(coeff, x)
     return ad.mul(coeff, ad.powc(x, k))
+
+
+def coefficient_vjp(coeff, x, k, form, g):
+    """Cotangents (g_x, g_coeff) of ``apply_coefficient(coeff, x, k, form)``
+    given its output cotangent ``g``, which may carry leading seed axes.
+
+    ``g_x`` is None for k=0, whose term does not depend on x.  The products
+    are grouped as a reverse sweep over ``coeff * x**k`` groups them.
+    """
+    if k == 0:
+        return None, g
+    if k == 1:
+        if form == DENSE:
+            # y = M x:  g_x = M^T g,  g_M = g (outer) x
+            d = x.shape[-1]
+            mat = coeff.reshape(coeff.shape[:-1] + (d, d))
+            g_x = np.einsum("...ij,...i->...j", mat, g)
+            g_m = g[..., :, None] * x[..., None, :]
+            return g_x, g_m.reshape(g_m.shape[:-2] + (d * d,))
+        return g * coeff, g * x
+    c = float(k)
+    return g * coeff * c * x ** (c - 1.0), g * x ** c
 
 
 def dense_contraction_oracle(coeff_vector, x, k):

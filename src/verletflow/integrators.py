@@ -7,7 +7,8 @@ Two families:
   integration applies the exact inverse sub-updates); and
 * a fixed-step RK4 baseline that integrates the continuous change of
   variables, with the trace of the field Jacobian computed either exactly
-  via reverse-mode autodiff or estimated with Hutchinson probes.
+  with one field vector-Jacobian product per basis vector, as reverse-mode
+  autodiff takes it, or estimated with Hutchinson probes.
 
 Both operate on vector states or on batches ``(n, d)``.  A Taylor-Verlet run
 can record its substeps, and ``verlet_vjp`` then differentiates it with
@@ -21,10 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import operators as ops
-from .autodiff import Tape
-from .flow import PhaseState, VerletFlow, apply_coefficient
+from .flow import NumericError, PhaseState, VerletFlow
 
 TAYLOR_VERLET = "taylor-verlet"
 RK4_EXACT = "rk4-exact"
@@ -214,30 +213,24 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
 # RK4 baseline with trace integration
 
 
-def hutchinson_trace(matvec, dim, probes, rng):
-    """Mean over Rademacher probes of eps . (J eps); unbiased for tr J."""
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    total = 0.0
-    for _ in range(probes):
-        eps = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-        total += float(eps @ np.asarray(matvec(eps)))
-    return total / probes
-
-
-def _exact_trace(flow, q, p, t, tape):
-    """Per-sample trace of the field Jacobian restricted to (q, p)."""
-    qv, pv = tape.var(q), tape.var(p)
-    fq, fp = flow.eval_field_taped(qv, pv, t)
-    batch = q.ndim == 2
-    trace = np.zeros(q.shape[0]) if batch else 0.0
-    for out, leaf in ((fq, qv), (fp, pv)):
-        d = out.value.shape[-1]
+def _exact_trace(flow, state, record):
+    """Per-sample trace of the field Jacobian restricted to (q, p), the way
+    a generic CNF takes it with reverse-mode autodiff: one full VJP (the
+    side's coefficient nets included) per basis vector.  A side's d basis
+    seeds are stacked on a leading axis and pushed through that side only.
+    """
+    trace = np.zeros(state.q.shape[0]) if state.q.ndim == 2 else 0.0
+    for side, x in (("q", state.q), ("p", state.p)):
+        d = x.shape[-1]
+        seeds = np.zeros((d,) + x.shape)
         for i in range(d):
-            seed = np.zeros_like(out.value)
-            seed[..., i] = 1.0
-            g = ad.grad(out, seed, [leaf])[0]
-            trace = trace + g[..., i]
+            seeds[i, ..., i] = 1.0
+        if side == "q":
+            g = flow.field_vjp(state, record, seeds, None)[0]
+        else:
+            g = flow.field_vjp(state, record, None, seeds)[1]
+        for i in range(d):
+            trace = trace + g[i, ..., i]
     return trace
 
 
@@ -258,25 +251,20 @@ def rademacher_probes(seed, sample_indices, probes, dim):
     return out
 
 
-def _hutchinson_trace_field(flow, q, p, t, eps_bank, tape):
-    """Rademacher estimate of the restricted Jacobian trace, batched.
+def _hutchinson_trace(flow, state, record, eps_bank):
+    """Rademacher estimate of the restricted Jacobian trace, batched: the
+    mean over probes eps of eps . (eps^T J), one field VJP per probe.
 
     ``eps_bank`` holds the per-sample probes: (n, probes, d) for a batch or
     (probes, d) for a single state.
     """
-    qv, pv = tape.var(q), tape.var(p)
-    fq, fp = flow.eval_field_taped(qv, pv, t)
-    batch = q.ndim == 2
-    est = np.zeros(q.shape[0]) if batch else 0.0
-    dq = q.shape[-1]
+    est = np.zeros(state.q.shape[0]) if state.q.ndim == 2 else 0.0
+    dq = state.d_q
     probes = eps_bank.shape[-2]
     for j in range(probes):
         eps = eps_bank[..., j, :].astype(np.float64)
         eq, ep = eps[..., :dq], eps[..., dq:]
-        gq, gp = ad.grad(fq, eq, [qv, pv])
-        gq2, gp2 = ad.grad(fp, ep, [qv, pv])
-        vjp_q = gq + gq2
-        vjp_p = gp + gp2
+        vjp_q, vjp_p = flow.field_vjp(state, record, eq, ep)
         est = est + (vjp_q * eq).sum(axis=-1) + (vjp_p * ep).sum(axis=-1)
     return est / probes
 
@@ -285,9 +273,12 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
                   hutchinson_eps=None):
     """Classic RK4 on (q, p, l) with dl/dt = -tr J of the field.
 
+    Each stage evaluates the field once, recording its coefficients and net
+    activations, and takes the trace from field VJPs over that record.
     ``hutchinson_eps`` optionally supplies the probe bank (as produced by
     ``rademacher_probes``); otherwise it is built from cfg.seed with
-    per-sample splitting at offset zero.
+    per-sample splitting at offset zero.  A non-finite stage input or field
+    raises ``IntegrationError`` with the failing step.
     """
     if cfg.method not in (RK4_EXACT, RK4_HUTCHINSON):
         raise ValueError(f"rk4_integrate got method {cfg.method!r}")
@@ -306,46 +297,38 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
             q.shape[-1] + p.shape[-1],
         )
     counters = 0
-    # Each trace records on its own tape.  A tape and its nodes refer to each
-    # other, so tapes are cleared here rather than left to the cyclic
-    # collector: each one once the next trace is taken, the last on exit.
-    # Clearing a tape as soon as its own trace is taken frees the whole heap
-    # top at once, which glibc malloc returns to the OS and faults back in on
-    # the next trace: on 6 estimates of 128 samples x 100 steps that took
-    # 1.36M minor page faults against 0.40M this way, and ran 25% slower.
-    tapes = []
 
     def deriv(qq, pp, t):
         nonlocal counters
-        st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
-        fq, fp = flow.eval_field(st)
-        tapes.append(Tape())
+        try:
+            st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
+        except ValueError as err:  # a stage input overflowed
+            raise NumericError(str(err)) from err
+        record = []
+        fq, fp = flow.eval_field(st, record)
         if cfg.method == RK4_EXACT:
-            tr = _exact_trace(flow, qq, pp, st.t, tapes[-1])
+            tr = _exact_trace(flow, st, record)
         else:
             bank = hutchinson_eps if batch else hutchinson_eps[0]
-            tr = _hutchinson_trace_field(flow, qq, pp, st.t, bank, tapes[-1])
-        while len(tapes) > 1:
-            tapes.pop(0).clear()
+            tr = _hutchinson_trace(flow, st, record, bank)
         counters += 1
         return fq, fp, -tr
 
     t = cfg.t0
-    try:
-        for i in range(cfg.steps):
+    for i in range(cfg.steps):
+        try:
             k1 = deriv(q, p, t)
             k2 = deriv(q + 0.5 * tau * k1[0], p + 0.5 * tau * k1[1], t + 0.5 * tau)
             k3 = deriv(q + 0.5 * tau * k2[0], p + 0.5 * tau * k2[1], t + 0.5 * tau)
             k4 = deriv(q + tau * k3[0], p + tau * k3[1], t + tau)
-            q = q + tau / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            p = p + tau / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            ell = ell + tau / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                raise IntegrationError(f"non-finite state at step {i}", step=i)
-            t = cfg.t0 + (i + 1) * tau
-    finally:
-        for tape in tapes:
-            tape.clear()
+        except NumericError as err:
+            raise IntegrationError(f"step {i}: {err}", step=i) from err
+        q = q + tau / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        p = p + tau / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        ell = ell + tau / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            raise IntegrationError(f"non-finite state at step {i}", step=i)
+        t = cfg.t0 + (i + 1) * tau
     final = PhaseState(q=q, p=p, t=cfg.t1, dlogp=ell)
     return IntegrationResult(
         state=final,

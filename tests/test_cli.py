@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import verletflow.checks as checks
-from verletflow import IntegratorConfig, PhaseState, verlet_integrate
+from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrate
 from verletflow.cli import main
 from verletflow.densities import standard_normal_logpdf
-from verletflow.persist import Config, load_checkpoint
+from verletflow.persist import Config, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -71,6 +71,7 @@ def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
     assert main(["train", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # a rejected run leaves no directory
 
 
 def test_train_missing_config_is_usage_error(tmp_path):
@@ -147,6 +148,32 @@ def test_logz_method_flag(trained_dir, capsys):
     )
     assert rc == 0
     assert "logZ[rk4-exact]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
+def test_logz_rk4_on_dense_k1_checkpoint(tmp_path, capsys, method):
+    # dense k=1 is inference-only, and the rk4 baselines are inference
+    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=1, k1_form="dense")
+    save_checkpoint(tmp_path / "dense.txt", flow)
+    rc = main(["logz", str(tmp_path / "dense.txt"), "--samples", "20",
+               "--steps", "3", "--method", method])
+    assert rc == 0
+    assert f"logZ[{method}]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["logz", "weights-hist"])
+def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command):
+    # order-3 flow whose q^2 and q^3 terms overflow in every rk4 trajectory
+    flow = VerletFlow.create(2, 2, order=3, hidden=[2], seed=0).zero_()
+    flow.q_nets[2].net.biases[-1][:] = 1e3
+    flow.q_nets[3].net.biases[-1][:] = 1e3
+    save_checkpoint(tmp_path / "o3.txt", flow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([command, str(tmp_path / "o3.txt"), "--samples", "16",
+                   "--steps", "10", "--method", "rk4-exact"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "numeric failure" in captured.err and "nan" not in captured.out
 
 
 def test_logz_missing_checkpoint_is_usage_error(tmp_path):

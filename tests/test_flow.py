@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verletflow.autodiff import Mlp, Tape
 from verletflow.flow import (
@@ -132,6 +134,59 @@ def test_eval_field_taped_matches_plain(rng):
     fq0, fp0 = flow.eval_field(PhaseState(q=q, p=p, t=0.3))
     assert np.allclose(fq.value, fq0, atol=0.0)
     assert np.allclose(fp.value, fp0, atol=0.0)
+
+
+def _fd(f, x, h=1e-6):
+    g = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (f(xp) - f(xm)) / (2 * h)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(0, 3),
+    d_q=st.integers(1, 4),
+    d_p=st.integers(1, 4),
+    rows=st.sampled_from([None, 1, 3]),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed):
+    """(q, p) cotangents of <wq, f_q> + <wp, f_p> for orders 0-3, dims 1-4,
+    vector and batch shapes, diagonal and dense k=1."""
+    rng = np.random.default_rng(seed)
+    form = DENSE if dense else "diagonal"
+    flow = VerletFlow.create(d_q, d_p, order=order, hidden=[5],
+                             seed=seed % 997, k1_form=form)
+    lead = () if rows is None else (rows,)
+    state = PhaseState(q=rng.standard_normal(lead + (d_q,)),
+                       p=rng.standard_normal(lead + (d_p,)), t=rng.uniform())
+    wq, wp = rng.standard_normal(state.q.shape), rng.standard_normal(state.p.shape)
+
+    def objective(q, p):
+        fq, fp = flow.eval_field(PhaseState(q=q, p=p, t=state.t))
+        return float((wq * fq).sum() + (wp * fp).sum())
+
+    record = []
+    fq, fp = flow.eval_field(state, record)
+    plain = flow.eval_field(state)
+    assert np.array_equal(fq, plain[0]) and np.array_equal(fp, plain[1])
+    assert len(record) == 2 * (order + 1)
+    gq, gp = flow.field_vjp(state, record, wq, wp)
+    assert np.allclose(gq, _fd(lambda q: objective(q, state.p), state.q),
+                       rtol=1e-6, atol=1e-7)
+    assert np.allclose(gp, _fd(lambda p: objective(state.q, p), state.p),
+                       rtol=1e-6, atol=1e-7)
+    # a leading seed axis carries one cotangent per seed; None is zero
+    sq, sp = flow.field_vjp(state, record, np.stack([wq, -2 * wq]), None)
+    zq, zp = flow.field_vjp(state, record, wq, np.zeros_like(wp))
+    assert sq.shape == (2,) + state.q.shape and sp.shape == (2,) + state.p.shape
+    assert np.allclose(sq[0], zq, rtol=1e-13, atol=1e-14)
+    assert np.allclose(sp[1], -2 * zp, rtol=1e-13, atol=1e-14)
 
 
 def test_zeroed_flow_field_vanishes(identity_flow, rng):

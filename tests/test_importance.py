@@ -123,6 +123,22 @@ def test_invalid_weights_are_nan_and_counted(normal_target):
         assert np.isclose(rep.logZ, logsumexp(finite) - np.log(finite.size))
 
 
+@pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
+def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
+    # order-3 flow whose q^2 and q^3 terms overflow inside an RK4 stage:
+    # the failing samples come back NaN instead of the estimate raising
+    flow = VerletFlow.create(2, 2, order=3, hidden=[2], seed=0).zero_()
+    flow.q_nets[2].net.biases[-1][:] = 100.0
+    flow.q_nets[3].net.biases[-1][:] = 100.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = estimate_logZ(
+            flow, normal_target, 64, IntegratorConfig(steps=10, seed=0),
+            method=method,
+        )
+    assert rep.invalid_count > 0
+    assert np.isnan(rep.log_weights).sum() == rep.invalid_count
+
+
 def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
     # the same samples are invalid however the rows are blocked, and the
     # valid weights of a failing block match the block-free values

@@ -6,13 +6,14 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verletflow.integrators as integ
-from verletflow.flow import PhaseState, VerletFlow
+from verletflow.flow import DENSE, PhaseState, VerletFlow
 from verletflow.integrators import (
     IntegrationError,
     IntegratorConfig,
-    hutchinson_trace,
     integrate,
     rademacher_probes,
     rk4_integrate,
@@ -240,6 +241,88 @@ def test_hutchinson_unbiased_over_probes(small_flow, rng):
     assert abs(np.mean(ests) - exact) < 4 * spread / np.sqrt(len(ests)) + 1e-6
 
 
+# -- trace oracles -----------------------------------------------------------
+
+
+def _random_field(order, d_q, d_p, rows, dense, seed):
+    """A random flow and a recorded field evaluation at a random state."""
+    rng = np.random.default_rng(seed)
+    flow = VerletFlow.create(d_q, d_p, order=order, hidden=[5], seed=seed % 997,
+                             k1_form=DENSE if dense else "diagonal")
+    lead = () if rows is None else (rows,)
+    state = PhaseState(q=rng.standard_normal(lead + (d_q,)),
+                       p=rng.standard_normal(lead + (d_p,)), t=rng.uniform())
+    record = []
+    flow.eval_field(state, record)
+    return flow, state, record, rng
+
+
+TRACE_CASES = dict(
+    order=st.integers(0, 3),
+    d_q=st.integers(1, 4),
+    d_p=st.integers(1, 4),
+    rows=st.sampled_from([None, 1, 3]),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**TRACE_CASES)
+def test_exact_trace_matches_closed_form(order, d_q, d_p, rows, dense, seed):
+    """tr df/d(q, p) = sum over sides and k >= 1 of k * s_k . x^(k-1), with
+    tr M for a dense k=1 coefficient."""
+    flow, state, record, _ = _random_field(order, d_q, d_p, rows, dense, seed)
+    want = np.zeros(state.q.shape[:-1])
+    for side, x in (("q", state.q), ("p", state.p)):
+        for k in range(1, order + 1):
+            s = flow.coefficient(side, k, state)
+            if k == 1 and dense:
+                d = x.shape[-1]
+                want = want + np.trace(s.reshape(s.shape[:-1] + (d, d)),
+                                       axis1=-2, axis2=-1)
+            else:
+                want = want + (k * s * x ** (k - 1)).sum(axis=-1)
+    got = integ._exact_trace(flow, state, record)
+    assert np.shape(got) == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(probes=st.integers(1, 3), **TRACE_CASES)
+def test_hutchinson_trace_is_probe_quadratic_form(order, d_q, d_p, rows, dense,
+                                                  seed, probes):
+    """The estimate is the probe mean of eps^T J eps, with J built row by
+    row from the field VJP."""
+    flow, state, record, rng = _random_field(order, d_q, d_p, rows, dense, seed)
+    n = 1 if rows is None else rows
+    bank = rademacher_probes(seed % 997, range(n), probes, d_q + d_p)
+    if rows is None:
+        bank = bank[0]
+    lead = state.q.shape[:-1]
+    rows_j = []
+    for i in range(d_q + d_p):
+        e = np.zeros(lead + (d_q + d_p,))
+        e[..., i] = 1.0
+        gq, gp = flow.field_vjp(state, record, e[..., :d_q], e[..., d_q:])
+        rows_j.append(np.concatenate([gq, gp], axis=-1))
+    jac = np.stack(rows_j, axis=-2)  # (..., out, in)
+    eps = bank.astype(np.float64)  # (..., probes, d)
+    want = np.einsum("...ja,...ab,...jb->...j", eps, jac, eps).mean(axis=-1)
+    got = integ._hutchinson_trace(flow, state, record, bank)
+    assert np.shape(got) == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
+def test_rk4_runs_dense_k1_flows(method, rng):
+    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=3, k1_form=DENSE)
+    state = PhaseState(q=rng.standard_normal((5, 2)),
+                       p=rng.standard_normal((5, 2)), t=0.0)
+    res = rk4_integrate(flow, state, IntegratorConfig(steps=4, method=method))
+    assert np.all(np.isfinite(res.state.q)) and np.all(np.isfinite(res.dlogp))
+
+
 # -- counters and bookkeeping ------------------------------------------------
 
 
@@ -264,6 +347,27 @@ def test_singularity_becomes_integration_error():
     assert exc.value.step == 0
 
 
+@pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
+def test_rk4_stage_overflow_is_integration_error(method):
+    cfg = IntegratorConfig(steps=10, method=method)
+    # q^2 and q^3 are finite at the step's start and overflow at its midpoint
+    flow = VerletFlow.create(1, 1, order=3, hidden=[2], seed=0).zero_()
+    flow.q_nets[2].net.biases[-1][:] = 1.0
+    flow.q_nets[3].net.biases[-1][:] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as exc:
+            rk4_integrate(flow, PhaseState(q=[1e100], p=[0.0], t=0.0), cfg)
+    assert exc.value.step == 0
+    # a finite field that carries the last stage's input past the float range
+    flow = VerletFlow.create(1, 1, order=0, hidden=[2], seed=0).zero_()
+    flow.q_nets[0].net.biases[-1][:] = 1e308
+    with np.errstate(over="ignore"):
+        with pytest.raises(IntegrationError, match="non-finite phase-space") as exc:
+            rk4_integrate(flow, PhaseState(q=[1e308], p=[0.0], t=0.0),
+                          IntegratorConfig(steps=1, method=method))
+    assert exc.value.step == 0
+
+
 # -- probes ------------------------------------------------------------------
 
 
@@ -275,20 +379,6 @@ def test_rademacher_probes_per_sample_split():
     shifted = rademacher_probes(3, range(2, 7), probes=2, dim=4)
     assert np.array_equal(bank[2:], shifted[:3])
     assert not np.array_equal(bank, rademacher_probes(4, range(5), 2, 4))
-
-
-def test_hutchinson_trace_utility(rng):
-    a = rng.standard_normal((6, 6))
-    est = np.mean(
-        [
-            hutchinson_trace(lambda v: a @ v, 6, probes=1,
-                             rng=np.random.default_rng(s))
-            for s in range(3000)
-        ]
-    )
-    assert abs(est - np.trace(a)) < 0.15
-    with pytest.raises(ValueError):
-        hutchinson_trace(lambda v: v, 3, probes=0, rng=rng)
 
 
 def test_more_probes_reduce_variance(small_flow, rng):
