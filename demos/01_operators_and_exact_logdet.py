@@ -9,18 +9,9 @@ reported log-det against a finite-difference Jacobian.
 import numpy as np
 
 import verletflow.operators as ops
+from verletflow.checks import fd_logdet
 
 rng = np.random.default_rng(0)
-
-
-def fd_logdet(apply_fn, x, h=1e-6):
-    d = x.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        dx = np.zeros(d)
-        dx[j] = h
-        jac[:, j] = (apply_fn(x + dx) - apply_fn(x - dx)) / (2 * h)
-    return np.linalg.slogdet(jac)[1]
 
 
 print("order | update                          |   logdet | FD logdet")

@@ -6,7 +6,7 @@ from .autodiff import Mlp, Tape, Var, backward, jacobian
 from .couplings import CouplingLayer, apply_coupling, as_verlet_steps
 from .densities import AugmentedDensity, Gmm, UnnormalizedDensity, default_trimodal
 from .flow import CoefficientNet, PhaseState, VerletFlow
-from .importance import WeightReport, benchmark, estimate_logZ, log_weights
+from .importance import WeightReport, estimate_logZ, log_weights
 from .integrators import (
     IntegrationResult,
     IntegratorConfig,
@@ -43,7 +43,6 @@ __all__ = [
     "apply_step",
     "as_verlet_steps",
     "backward",
-    "benchmark",
     "default_trimodal",
     "estimate_logZ",
     "integrate",

@@ -22,7 +22,7 @@ from .flow import PhaseState, VerletFlow
 from .integrators import IntegratorConfig, verlet_integrate
 
 
-def _fd_logdet(apply_fn, x, h=1e-6):
+def fd_logdet(apply_fn, x, h=1e-6):
     """log|det| of the map's Jacobian by central finite differences."""
     d = x.size
     jac = np.empty((d, d))
@@ -58,7 +58,7 @@ def check_operators(trials=200, seed=0, tol=1e-5):
 
             try:
                 _, logdet = ops.apply_step(step, x)
-                err = abs(float(logdet) - _fd_logdet(fwd, x))
+                err = abs(float(logdet) - fd_logdet(fwd, x))
             except ops.SingularityError:
                 continue
             if err > tol:

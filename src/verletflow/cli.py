@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, svg
-from .importance import benchmark as run_benchmark
-from .importance import estimate_logZ, log_weights, push_blocks
+from .importance import estimate_logZ, push_blocks
 from .integrators import METHODS, IntegrationError, IntegratorConfig
 from .operators import UnsupportedModeError
 from .persist import CheckpointError, Config, ConfigError, load_checkpoint, save_checkpoint
@@ -34,39 +33,6 @@ def positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
-
-
-def _eval_cfg(config: Config, args):
-    return IntegratorConfig(
-        t0=0.0,
-        t1=1.0,
-        steps=args.steps if args.steps else config.eval.steps,
-        method=getattr(args, "method", None) or config.eval.method,
-        hutchinson_probes=config.eval.hutchinson_probes,
-        seed=args.seed if args.seed is not None else config.eval.seed,
-    )
-
-
-def _write_report_csv(path, reports):
-    """The WeightReport CSV: method,seed,m,logZ,sd,wall_ms,invalid_count."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "seed", "m", "logZ", "sd", "wall_ms", "invalid_count"]
-        )
-        for report in reports:
-            for m, logz, sd in report.logZ_curve:
-                writer.writerow(
-                    [
-                        report.method,
-                        report.seed,
-                        m,
-                        format(logz, ".12g"),
-                        format(sd, ".12g"),
-                        int(round(report.wall_seconds * 1000)),
-                        report.invalid_count,
-                    ]
-                )
 
 
 def cmd_train(args):
@@ -103,66 +69,108 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_model_and_target(args):
-    flow = load_checkpoint(args.checkpoint)
-    config = Config.load(args.config) if args.config else Config()
-    config.d_q, config.d_p = flow.d_q, flow.d_p
-    return flow, config, config.build_target()
+def _methods(args, config):
+    """``--method`` (or the config's) for logz and weights-hist; benchmark's
+    ``--methods`` list, deduplicated, must name 2 distinct known methods."""
+    if args.command != "benchmark":
+        return [args.method or config.eval.method]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}")
+    distinct = list(dict.fromkeys(methods))
+    if len(distinct) < len(methods):
+        print("warning: duplicate methods removed from benchmark", file=sys.stderr)
+    if len(distinct) < 2:
+        raise ConfigError("benchmark needs at least 2 distinct methods")
+    return distinct
 
 
-def cmd_logz(args):
+def cmd_estimate(args):
+    """logz, weights-hist and benchmark: load, validate, estimate once per
+    method on one seed, then hand the reports to the command's writer."""
     try:
-        flow, config, target = _load_model_and_target(args)
-        cfg = _eval_cfg(config, args)
-        n = args.samples if args.samples else config.eval.samples
+        flow = load_checkpoint(args.checkpoint)
+        config = Config.load(args.config) if args.config else Config()
+        config.d_q, config.d_p = flow.d_q, flow.d_p
+        target = config.build_target()
+        methods = _methods(args, config)
+        cfgs = [
+            IntegratorConfig(
+                steps=args.steps or config.eval.steps,
+                method=method,
+                hutchinson_probes=config.eval.hutchinson_probes,
+                seed=args.seed if args.seed is not None else config.eval.seed,
+            )
+            for method in methods
+        ]
+        n = args.samples or config.eval.samples
         if n < 2:
-            raise ValueError(f"logz needs at least 2 samples, got {n}")
+            raise ValueError(f"{args.command} needs at least 2 samples, got {n}")
     except (ConfigError, CheckpointError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = estimate_logZ(flow, target, n, cfg, workers=args.workers)
-    except IntegrationError as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if report.invalid_count == n:
-        print(f"numeric failure: all {n} samples failed", file=sys.stderr)
-        return EXIT_NUMERIC
+    reports = []
+    for cfg in cfgs:
+        try:
+            report = estimate_logZ(flow, target, n, cfg, workers=args.workers)
+        except IntegrationError as err:
+            print(f"numeric failure: {err}", file=sys.stderr)
+            return EXIT_NUMERIC
+        if report.invalid_count == n:
+            print(f"numeric failure: all {n} samples failed [{cfg.method}]",
+                  file=sys.stderr)
+            return EXIT_NUMERIC
+        reports.append(report)
+    args.write(args, target, reports)
+    return EXIT_OK
+
+
+def _write_curves(args, target, reports):
+    """logz and benchmark artifacts: the WeightReport CSV
+    (method,seed,m,logZ,sd,wall_ms,invalid_count) and the logZ-curve SVG."""
     if args.csv:
-        _write_report_csv(args.csv, [report])
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["method", "seed", "m", "logZ", "sd", "wall_ms", "invalid_count"]
+            )
+            for report in reports:
+                for m, logz, sd in report.logZ_curve:
+                    writer.writerow(
+                        [
+                            report.method,
+                            report.seed,
+                            m,
+                            format(logz, ".12g"),
+                            format(sd, ".12g"),
+                            int(round(report.wall_seconds * 1000)),
+                            report.invalid_count,
+                        ]
+                    )
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(
                 svg.logz_curve_svg(
-                    {report.method: report.logZ_curve},
+                    {r.method: r.logZ_curve for r in reports},
                     logz_true=target.logZ_true,
                 )
             )
+
+
+def write_logz(args, target, reports):
+    _write_curves(args, target, reports)
+    (report,) = reports
     flag = " (UNRELIABLE: >1% invalid weights)" if report.unreliable else ""
     print(
         f"logZ[{report.method}] = {report.logZ:.6f} +- {report.sd:.6f} "
-        f"(n={n}, true={target.logZ_true:.6f}){flag}"
+        f"(n={len(report.log_weights)}, true={target.logZ_true:.6f}){flag}"
     )
-    return EXIT_OK
 
 
-def cmd_weights_hist(args):
-    try:
-        flow, config, target = _load_model_and_target(args)
-        cfg = _eval_cfg(config, args)
-    except (ConfigError, CheckpointError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    n = args.samples if args.samples else 10_000
-    try:
-        lw = log_weights(flow, target, n, cfg, workers=args.workers)
-    except IntegrationError as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    finite = lw[np.isfinite(lw)]
-    if finite.size == 0:
-        print(f"numeric failure: all {n} samples failed", file=sys.stderr)
-        return EXIT_NUMERIC
+def write_weights_hist(args, target, reports):
+    (report,) = reports
+    lw = report.log_weights
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -173,49 +181,23 @@ def cmd_weights_hist(args):
         with open(args.svg, "w") as fh:
             fh.write(
                 svg.histogram_svg(
-                    lw.tolist(), title=f"log importance weights ({cfg.method})"
+                    lw.tolist(), title=f"log importance weights ({report.method})"
                 )
             )
+    finite = lw[np.isfinite(lw)]
     print(
-        f"{finite.size} weights [{cfg.method}]: min={finite.min():.3f} "
+        f"{finite.size} weights [{report.method}]: min={finite.min():.3f} "
         f"max={finite.max():.3f}"
     )
-    return EXIT_OK
 
 
-def cmd_benchmark(args):
-    try:
-        flow, config, target = _load_model_and_target(args)
-        cfg = _eval_cfg(config, args)
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
-    except (ConfigError, CheckpointError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    n = args.samples if args.samples else 1000
-    try:
-        reports = run_benchmark(flow, target, n, methods, cfg)
-    except (IntegrationError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC if isinstance(err, IntegrationError) else EXIT_USAGE
-    if args.csv:
-        _write_report_csv(args.csv, list(reports.values()))
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(
-                svg.logz_curve_svg(
-                    {m: r.logZ_curve for m, r in reports.items()},
-                    logz_true=target.logZ_true,
-                )
-            )
-    for method, report in reports.items():
+def write_benchmark(args, target, reports):
+    _write_curves(args, target, reports)
+    for report in reports:
         print(
-            f"{method:16s} logZ={report.logZ:.6f} +- {report.sd:.6f} "
+            f"{report.method:16s} logZ={report.logZ:.6f} +- {report.sd:.6f} "
             f"wall={report.wall_seconds*1000:.0f}ms"
         )
-    return EXIT_OK
 
 
 def cmd_sample(args):
@@ -266,42 +248,44 @@ def build_parser():
         prog="verletflow",
         description="Verlet flows: exact-likelihood augmented CNFs",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=positive_int, default=1)
-    common.add_argument("--csv", type=str, default=None)
-    common.add_argument("--svg", type=str, default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    csv_out = argparse.ArgumentParser(add_help=False)
+    csv_out.add_argument("--csv", type=str, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[common], help="train a flow")
+    p = sub.add_parser("train", parents=[seed], help="train a flow")
     p.add_argument("config")
     p.add_argument("--out", default="run")
     p.set_defaults(func=cmd_train)
 
-    for name, func in (
-        ("logz", cmd_logz),
-        ("weights-hist", cmd_weights_hist),
-        ("benchmark", cmd_benchmark),
+    for name, write, samples in (
+        ("logz", write_logz, None),  # None: the config's eval.samples
+        ("weights-hist", write_weights_hist, 10_000),
+        ("benchmark", write_benchmark, 1000),
     ):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[seed, csv_out])
         p.add_argument("checkpoint")
         p.add_argument("--config", default=None)
-        p.add_argument("--samples", type=positive_int, default=None)
+        p.add_argument("--samples", type=positive_int, default=samples)
         p.add_argument("--steps", type=positive_int, default=None)
+        p.add_argument("--workers", type=positive_int, default=1)
+        p.add_argument("--svg", type=str, default=None)
         if name == "benchmark":
             p.add_argument("--methods", default="taylor-verlet,rk4-exact")
         else:
             p.add_argument("--method", choices=METHODS, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_estimate, write=write)
 
-    p = sub.add_parser("sample", parents=[common], help="push source samples forward")
+    p = sub.add_parser("sample", parents=[seed, csv_out],
+                       help="push source samples forward")
     p.add_argument("checkpoint")
     p.add_argument("-n", type=positive_int, default=1000)
     p.add_argument("--steps", type=positive_int, default=None)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("check", parents=[common], help="run a property suite")
+    p = sub.add_parser("check", help="run a property suite")
     p.add_argument("suite", choices=sorted(checks.SUITES))
     p.set_defaults(func=cmd_check)
     return parser

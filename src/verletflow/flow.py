@@ -309,21 +309,3 @@ def coefficient_vjp(coeff, x, k, form, g):
         return g * coeff, g * x
     c = float(k)
     return g * coeff * c * x ** (c - 1.0), g * x ** c
-
-
-def dense_contraction_oracle(coeff_vector, x, k):
-    """Full dense-tensor contraction of an on-diagonal (k,1)-tensor.
-
-    Independent check for the sparse fast path: builds the k-way tensor
-    with ``coeff_vector`` on its hyper-diagonal and contracts it against
-    k copies of ``x``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[-1]
-    tensor = np.zeros((d,) * (k + 1))
-    for i in range(d):
-        tensor[(i,) * (k + 1)] = coeff_vector[i]
-    out = tensor
-    for _ in range(k):
-        out = out @ x
-    return out

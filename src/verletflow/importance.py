@@ -10,8 +10,7 @@ the same Z as the unaugmented pi_hat.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -185,7 +184,7 @@ def _curve_points(n):
     return pts
 
 
-def estimate_logZ(flow, target, n, cfg, method=None, workers=1):
+def estimate_logZ(flow, target, n, cfg, workers=1):
     """Running log Z curve from n log-weights.
 
     The SD at each sample count m is the standard deviation of the
@@ -194,10 +193,6 @@ def estimate_logZ(flow, target, n, cfg, method=None, workers=1):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if method is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, method=method)
     start = time.perf_counter()
     lw = log_weights(flow, target, n, cfg, workers=workers)
     wall = time.perf_counter() - start
@@ -226,13 +221,3 @@ def estimate_logZ(flow, target, n, cfg, method=None, workers=1):
         invalid_count=invalid,
         unreliable=invalid > 0.01 * n,
     )
-
-
-def benchmark(flow, target, n, methods, cfg):
-    """Per-method wall time and log Z curve on identical seeds."""
-    deduped = list(dict.fromkeys(methods))
-    if len(deduped) < len(methods):
-        warnings.warn("duplicate methods removed from benchmark")
-    if len(deduped) < 2:
-        raise ValueError("benchmark needs at least 2 distinct methods")
-    return {m: estimate_logZ(flow, target, n, cfg, method=m) for m in deduped}

@@ -66,13 +66,17 @@ def apply_order1(x, s1, tau, form="diagonal"):
     """exp(tau*s1) applied to x; log-det = tr(tau*s1).
 
     Diagonal form scales elementwise.  Dense form applies a true matrix
-    exponential (scaling-and-squaring) and is inference-only.
+    exponential (``scipy.linalg.expm``) and is inference-only.
     """
     x = np.asarray(x, dtype=np.float64)
     s1 = np.asarray(s1, dtype=np.float64)
     if form == "dense":
         d = x.shape[-1]
         mats = s1.reshape(s1.shape[:-1] + (d, d))
+        # imported here: scipy.linalg adds ~80 ms to the package import,
+        # and only the inference-only dense form needs it
+        from scipy.linalg import expm
+
         em = expm(tau * mats)
         y = np.einsum("...ij,...j->...i", em, x)
         logdet = tau * np.trace(mats, axis1=-2, axis2=-1)
@@ -192,32 +196,3 @@ def step_vjp(step: OperatorStep, x, y, gy, gl):
     gx = gy * rk1 * r + k * gl * (rk1 - 1.0) / x
     gc = tau * y ** (k - 1) * (gy * y + k * gl)
     return gx, gc
-
-
-# ---------------------------------------------------------------------------
-# dense matrix exponential (inference-only k=1 support)
-
-
-def expm(a):
-    """Matrix exponential by scaling-and-squaring with a degree-8 series.
-
-    Scales by powers of two until the 1-norm is below 0.5, runs a truncated
-    Taylor series, then squares back.  Supports stacked matrices ``(..., d, d)``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    max_norm = float(np.max(norm)) if norm.size else 0.0
-    squarings = 0
-    while max_norm > 0.5:
-        max_norm /= 2.0
-        squarings += 1
-    b = a / (2.0 ** squarings)
-    d = a.shape[-1]
-    result = np.broadcast_to(np.eye(d), a.shape).copy()
-    term = np.broadcast_to(np.eye(d), a.shape).copy()
-    for i in range(1, 9):
-        term = term @ b / i
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result

@@ -40,3 +40,26 @@ def small_flow():
 def identity_flow():
     """A flow whose field is identically zero (output layers zeroed)."""
     return VerletFlow.create(2, 2, order=1, hidden=[8], seed=7).zero_()
+
+
+@pytest.fixture
+def dense_contraction_oracle():
+    """Full dense-tensor contraction of an on-diagonal (k,1)-tensor.
+
+    Independent check for the sparse fast path: builds the k-way tensor
+    with ``coeff_vector`` on its hyper-diagonal and contracts it against
+    k copies of ``x``.
+    """
+
+    def contract(coeff_vector, x, k):
+        x = np.asarray(x, dtype=np.float64)
+        d = x.shape[-1]
+        tensor = np.zeros((d,) * (k + 1))
+        for i in range(d):
+            tensor[(i,) * (k + 1)] = coeff_vector[i]
+        out = tensor
+        for _ in range(k):
+            out = out @ x
+        return out
+
+    return contract

@@ -22,7 +22,7 @@ from verletflow import (
     estimate_logZ,
     verlet_integrate,
 )
-from verletflow.checks import check_couplings
+from verletflow.checks import check_couplings, fd_logdet
 from verletflow.cli import main as cli_main
 from verletflow.densities import UnnormalizedDensity, default_trimodal
 from verletflow.persist import Config, load_checkpoint, save_checkpoint
@@ -47,16 +47,6 @@ def report(num, name, ok, detail):
     print(line)
     ACCEPTANCE_LINES.append(line)
     assert ok, line
-
-
-def fd_logdet(apply_fn, x, h=1e-6):
-    d = x.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        dx = np.zeros(d)
-        dx[j] = h
-        jac[:, j] = (apply_fn(x + dx) - apply_fn(x - dx)) / (2 * h)
-    return np.linalg.slogdet(jac)[1]
 
 
 # -- session-scoped heavy artifacts ------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import verletflow.checks as checks
+import verletflow.cli as cli
 from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrate
 from verletflow.cli import main
 from verletflow.densities import standard_normal_logpdf
@@ -39,6 +40,11 @@ def trained_dir(tiny_config, tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def without_wall_ms(rows):
+    """Report-CSV rows minus the wall_ms timing column."""
+    return [r[:5] + r[6:] for r in rows]
 
 
 # -- train -------------------------------------------------------------------
@@ -161,8 +167,14 @@ def test_logz_rk4_on_dense_k1_checkpoint(tmp_path, capsys, method):
     assert f"logZ[{method}]" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["logz", "weights-hist"])
-def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, methods",
+    [("logz", ["--method", "rk4-exact"]),
+     ("weights-hist", ["--method", "rk4-exact"]),
+     ("benchmark", ["--methods", "taylor-verlet,rk4-exact"])],
+    ids=["logz", "weights-hist", "benchmark"],
+)
+def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods):
     # order-3 flow whose q^2 and q^3 terms overflow in every rk4 trajectory
     flow = VerletFlow.create(2, 2, order=3, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 1e3
@@ -170,7 +182,7 @@ def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command):
     save_checkpoint(tmp_path / "o3.txt", flow)
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main([command, str(tmp_path / "o3.txt"), "--samples", "16",
-                   "--steps", "10", "--method", "rk4-exact"])
+                   "--steps", "10", *methods])
     assert rc == 3
     captured = capsys.readouterr()
     assert "numeric failure" in captured.err and "nan" not in captured.out
@@ -207,8 +219,7 @@ def test_logz_csv_deterministic(trained_dir, tmp_path):
     assert main(args + ["--csv", str(p2)]) == 0
     # identical modulo the wall_ms timing column
     rows1, rows2 = read_csv(p1), read_csv(p2)
-    strip = lambda rows: [r[:5] + r[6:] for r in rows]
-    assert strip(rows1) == strip(rows2)
+    assert without_wall_ms(rows1) == without_wall_ms(rows2)
 
 
 # -- weights-hist ------------------------------------------------------------
@@ -261,6 +272,73 @@ def test_benchmark_unknown_method_is_usage_error(trained_dir):
         ]
     )
     assert rc == 2
+
+
+def test_benchmark_removes_duplicate_methods_with_a_warning(trained_dir, tmp_path,
+                                                            capsys):
+    csv_path = tmp_path / "bench.csv"
+    rc = main(
+        [
+            "benchmark", str(trained_dir / "checkpoint.txt"),
+            "--samples", "20", "--steps", "3", "--csv", str(csv_path),
+            "--methods", "taylor-verlet,rk4-exact,taylor-verlet",
+        ]
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "duplicate methods removed" in captured.err
+    assert len(captured.out.splitlines()) == 2
+    methods = [r[0] for r in read_csv(csv_path)[1:]]
+    assert list(dict.fromkeys(methods)) == ["taylor-verlet", "rk4-exact"]
+
+
+@pytest.mark.parametrize("methods", ["taylor-verlet", "rk4-exact,rk4-exact"])
+def test_benchmark_single_distinct_method_is_usage_error(trained_dir, capsys,
+                                                         methods):
+    rc = main(["benchmark", str(trained_dir / "checkpoint.txt"),
+               "--samples", "10", "--methods", methods])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "at least 2 distinct methods" in captured.err and captured.out == ""
+
+
+def test_benchmark_methods_share_the_seed(trained_dir, tmp_path):
+    # each method's benchmark rows are the rows logz writes for that
+    # method at the same seed (minus wall_ms)
+    ck = str(trained_dir / "checkpoint.txt")
+    common = ["--samples", "30", "--steps", "3", "--seed", "5"]
+    bench = tmp_path / "bench.csv"
+    assert main(["benchmark", ck, *common, "--csv", str(bench),
+                 "--methods", "rk4-hutchinson,taylor-verlet"]) == 0
+    rows = without_wall_ms(read_csv(bench))
+    assert {r[1] for r in rows[1:]} == {"5"}
+    for method in ("rk4-hutchinson", "taylor-verlet"):
+        single = tmp_path / f"{method}.csv"
+        assert main(["logz", ck, *common, "--csv", str(single),
+                     "--method", method]) == 0
+        logz_rows = without_wall_ms(read_csv(single))
+        assert logz_rows[1:] == [r for r in rows[1:] if r[0] == method]
+
+
+def test_benchmark_honours_workers(trained_dir, tmp_path, monkeypatch):
+    # n spans two 1024-row blocks, so two workers really split the run
+    seen = []
+    real = cli.estimate_logZ
+
+    def spy(*args, workers=1, **kwargs):
+        seen.append(workers)
+        return real(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_logZ", spy)
+    ck = str(trained_dir / "checkpoint.txt")
+    paths = []
+    for workers in ("1", "2"):
+        paths.append(tmp_path / f"w{workers}.csv")
+        assert main(["benchmark", ck, "--samples", "1100", "--steps", "2",
+                     "--methods", "taylor-verlet,rk4-exact",
+                     "--workers", workers, "--csv", str(paths[-1])]) == 0
+    assert seen == [1, 1, 2, 2]
+    assert without_wall_ms(read_csv(paths[0])) == without_wall_ms(read_csv(paths[1]))
 
 
 # -- sample ------------------------------------------------------------------
@@ -341,6 +419,22 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert main(["check", "operators"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["failures"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "config.json", "--workers", "2"],
+     ["train", "config.json", "--svg", "x"],
+     ["sample", "checkpoint.txt", "--workers", "2"],
+     ["check", "operators", "--csv", "x"]],
+    ids=["train-workers", "train-svg", "sample-workers", "check-csv"],
+)
+def test_unread_flag_is_usage_error(capsys, argv):
+    # each subcommand takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -14,7 +14,6 @@ from verletflow.flow import (
     PhaseState,
     VerletFlow,
     apply_coefficient,
-    dense_contraction_oracle,
 )
 
 
@@ -220,7 +219,7 @@ def test_apply_coefficient_dense_k1(rng):
     assert np.allclose(out, mat @ x, atol=1e-15)
 
 
-def test_dense_oracle_matches_manual_k2():
+def test_dense_oracle_matches_manual_k2(dense_contraction_oracle):
     # hyper-diagonal (2,1)-tensor contraction is c_i * x_i^2
     c = np.array([2.0, -1.0, 0.5])
     x = np.array([1.0, 2.0, 3.0])

@@ -10,7 +10,6 @@ from verletflow.densities import UnnormalizedDensity, standard_normal
 import verletflow.importance as importance
 from verletflow.importance import (
     SD_BATCHES,
-    benchmark,
     draw_source,
     estimate_logZ,
     log_mean_exp,
@@ -132,8 +131,7 @@ def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
     flow.q_nets[3].net.biases[-1][:] = 100.0
     with np.errstate(over="ignore", invalid="ignore"):
         rep = estimate_logZ(
-            flow, normal_target, 64, IntegratorConfig(steps=10, seed=0),
-            method=method,
+            flow, normal_target, 64, IntegratorConfig(steps=10, seed=0, method=method)
         )
     assert rep.invalid_count > 0
     assert np.isnan(rep.log_weights).sum() == rep.invalid_count
@@ -156,17 +154,3 @@ def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
 def test_estimate_rejects_tiny_n(identity_flow, normal_target):
     with pytest.raises(ValueError):
         estimate_logZ(identity_flow, normal_target, 1, IntegratorConfig(steps=2))
-
-
-def test_benchmark_runs_and_dedupes(identity_flow, normal_target):
-    cfg = IntegratorConfig(steps=5, seed=0)
-    with pytest.warns(UserWarning):
-        reports = benchmark(
-            identity_flow, normal_target, 20,
-            ["taylor-verlet", "rk4-exact", "taylor-verlet"], cfg,
-        )
-    assert set(reports) == {"taylor-verlet", "rk4-exact"}
-    for rep in reports.values():
-        assert np.isclose(rep.logZ, np.log(5.0), atol=1e-10)
-    with pytest.raises(ValueError):
-        benchmark(identity_flow, normal_target, 20, ["taylor-verlet"], cfg)

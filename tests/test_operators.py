@@ -13,20 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verletflow.operators as ops
-from verletflow.flow import dense_contraction_oracle
+from verletflow.checks import fd_logdet
 from verletflow.operators import OperatorStep, SingularityError, UnsupportedModeError
-
-
-def fd_logdet(apply_fn, x, h=1e-6):
-    d = x.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        dx = np.zeros(d)
-        dx[j] = h
-        jac[:, j] = (apply_fn(x + dx) - apply_fn(x - dx)) / (2 * h)
-    sign, logabs = np.linalg.slogdet(jac)
-    assert sign != 0
-    return logabs
 
 
 # -- order 0: translation ---------------------------------------------------
@@ -99,13 +87,6 @@ def test_order1_dense_rejects_tape(rng):
     y, _ = ops.apply_step(step, x)
     with pytest.raises(UnsupportedModeError):
         ops.step_vjp(step, x, y, np.ones(2), 0.0)
-
-
-def test_expm_matches_scipy_stacked(rng):
-    mats = rng.standard_normal((5, 4, 4)) * 1.5
-    ours = ops.expm(mats)
-    for i in range(5):
-        assert np.allclose(ours[i], scipy.linalg.expm(mats[i]), atol=1e-11)
 
 
 # -- sparse higher orders ----------------------------------------------------
@@ -324,7 +305,7 @@ def test_step_vjp_matches_fd(order, dim, rows, sign, seed):
     assert np.allclose(gc, fd_c, rtol=1e-6, atol=1e-7)
 
 
-def test_sparse_contraction_matches_dense_oracle(rng):
+def test_sparse_contraction_matches_dense_oracle(rng, dense_contraction_oracle):
     from verletflow.flow import apply_coefficient
 
     for k in (2, 3, 4):
