@@ -2,7 +2,7 @@
 with exact-likelihood Taylor-Verlet integrators and an importance-sampling
 harness for partition-constant estimation."""
 
-from .autodiff import Mlp, Tape, Var, backward, jacobian
+from .autodiff import Mlp
 from .couplings import CouplingLayer, apply_coupling, as_verlet_steps
 from .densities import AugmentedDensity, Gmm, UnnormalizedDensity, default_trimodal
 from .flow import CoefficientNet, PhaseState, VerletFlow
@@ -32,22 +32,18 @@ __all__ = [
     "OperatorStep",
     "PhaseState",
     "SingularityError",
-    "Tape",
     "TrainConfig",
     "TrainReport",
     "UnnormalizedDensity",
-    "Var",
     "VerletFlow",
     "WeightReport",
     "apply_coupling",
     "apply_step",
     "as_verlet_steps",
-    "backward",
     "default_trimodal",
     "estimate_logZ",
     "integrate",
     "invert_step",
-    "jacobian",
     "load_checkpoint",
     "log_weights",
     "nll_batch",

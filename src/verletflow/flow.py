@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Mlp, Var
+from .autodiff import Mlp
 
 
 class OrderError(ValueError):
@@ -95,11 +94,9 @@ class CoefficientNet:
         x[..., -1] = t
         return self.net(x, acts)
 
-    # kept by name: the benchmark's trace table wraps it
     def taped(self, opposite, t):
-        """Same as ``__call__`` but recorded on the opposite variable's tape."""
-        x = ad.concat_last(opposite, np.array([float(t)]))
-        return self.net.forward(x)
+        """Retired tape placeholder (see ``autodiff.grad``)."""
+        raise NotImplementedError("the closure tape is retired")
 
 
 class VerletFlow:
@@ -232,19 +229,9 @@ class VerletFlow:
             out[opp] = g_opp if out[opp] is None else out[opp] + g_opp
         return out["q"], out["p"]
 
-    # kept by name: the benchmark's trace table wraps it
     def eval_field_taped(self, q, p, t):
-        """Field evaluation through the tape; ``q``/``p`` are Vars."""
-        out = []
-        for side, x, opp in (("q", q, p), ("p", p, q)):
-            nets = self.nets(side)
-            total = None
-            for k in range(self.order + 1):
-                coeff = nets[k].taped(opp, t)
-                term = apply_coefficient(coeff, x, k, nets[k].form)
-                total = term if total is None else total + term
-            out.append(total)
-        return tuple(out)
+        """Retired tape placeholder (see ``autodiff.grad``)."""
+        raise NotImplementedError("the closure tape is retired")
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -272,21 +259,19 @@ class VerletFlow:
 def apply_coefficient(coeff, x, k, form=DIAGONAL):
     """Apply a realized order-k coefficient to the same-side variable.
 
-    Works on plain arrays and on autodiff Vars alike: k=0 ignores x, k=1
-    is diagonal (elementwise) or dense (matrix-vector), k>=2 is the sparse
-    on-diagonal contraction, an elementwise product with x^k.
+    k=0 ignores x, k=1 is diagonal (elementwise) or dense (matrix-vector),
+    k>=2 is the sparse on-diagonal contraction, an elementwise product with
+    x^k.
     """
     if k == 0:
         return coeff
     if k == 1:
         if form == DENSE:
-            if isinstance(coeff, Var) or isinstance(x, Var):
-                raise NotImplementedError("dense k=1 is inference-only")
             d = x.shape[-1]
             mat = coeff.reshape(coeff.shape[:-1] + (d, d))
             return np.einsum("...ij,...j->...i", mat, x)
-        return ad.mul(coeff, x)
-    return ad.mul(coeff, ad.powc(x, k))
+        return coeff * x
+    return coeff * x ** float(k)
 
 
 def coefficient_vjp(coeff, x, k, form, g):

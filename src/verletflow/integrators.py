@@ -175,8 +175,9 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
 
 
 def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
-    """Gradient of a recorded ``verlet_integrate`` run w.r.t. the flow
-    parameters, in ``flow.get_params`` order.
+    """Reverse sweep of a recorded ``verlet_integrate`` run: returns
+    ``(grad, g_q0, g_p0)``, the gradient w.r.t. the flow parameters (in
+    ``flow.get_params`` order) and the cotangents of the start q and p.
 
     ``start`` is the state the run began from, ``record`` the ``Substep``
     list it filled, and ``g_q``, ``g_p``, ``g_dlogp`` the cotangents of the
@@ -206,7 +207,7 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
         g_in = net.vjp(sub.acts, g_coeff, grad[lo : lo + net.num_params])
         # the last input column is the time feature
         g[opp] = g[opp] + g_in[..., :-1]
-    return grad
+    return grad, g["q"], g["p"]
 
 
 # ---------------------------------------------------------------------------

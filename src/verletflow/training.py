@@ -76,10 +76,11 @@ class TapedFlowParams:
         (q-side k ascending, then p-side; per net layer-major, W before b)."""
         n = self.final.q.shape[0]
         # loss = mean(dlogp + |x0|^2 / 2) + const, with x0 = (q0, p0)
-        return verlet_vjp(
+        grad, _, _ = verlet_vjp(
             self.flow, self.start, self.record,
             self.final.q / n, self.final.p / n, np.full(n, 1.0 / n),
         )
+        return grad
 
 
 def nll_batch(flow: VerletFlow, q_batch, cfg: TrainConfig, rng, *, record=False):

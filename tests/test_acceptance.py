@@ -22,9 +22,11 @@ from verletflow import (
     estimate_logZ,
     verlet_integrate,
 )
+from verletflow.autodiff import Mlp
 from verletflow.checks import check_couplings, fd_logdet
 from verletflow.cli import main as cli_main
 from verletflow.densities import UnnormalizedDensity, default_trimodal
+from verletflow.flow import DENSE, DIAGONAL, apply_coefficient, coefficient_vjp
 from verletflow.persist import Config, load_checkpoint, save_checkpoint
 from verletflow.training import TrainConfig, nll_batch, train
 
@@ -253,55 +255,66 @@ def test_criterion_7_hutchinson_failure_mode(weight_runs):
     )
 
 
-def test_criterion_8_gradient_suite():
-    import verletflow.autodiff as ad
-    from verletflow.autodiff import Tape
-
+def test_criterion_8_gradient_suite(fd_grad):
     rng = np.random.default_rng(108)
-    worst_prim = 0.0
+    errs = {}
 
-    def scalar_fd(build, x, h=1e-6):
-        def f(arr):
-            return float(build(Tape().var(arr)).value)
-
-        g = np.zeros_like(x)
-        flat, xf = g.reshape(-1), x.reshape(-1)
-        for i in range(xf.size):
-            old = xf[i]
-            xf[i] = old + h
-            fp = f(x)
-            xf[i] = old - h
-            fm = f(x)
-            xf[i] = old
-            flat[i] = (fp - fm) / (2 * h)
-        return g
-
-    prims = {
-        "add": lambda v: ad.sum_all(ad.add(v, 0.5)),
-        "sub": lambda v: ad.sum_all(ad.sub(1.5, v)),
-        "mul": lambda v: ad.sum_all(ad.mul(v, v)),
-        "neg": lambda v: ad.sum_all(ad.neg(v)),
-        "tanh": lambda v: ad.sum_all(ad.tanh(v)),
-        "exp": lambda v: ad.sum_all(ad.exp(v)),
-        "log": lambda v: ad.sum_all(ad.log(v)),
-        "powc": lambda v: ad.sum_all(ad.powc(v, 3)),
-        "linear": lambda v: ad.sum_all(
-            ad.linear(v, np.eye(3) * 0.7, np.zeros(3))
-        ),
-        "sum_last": lambda v: ad.sum_all(ad.sum_last(v)),
-        "sum_all": ad.sum_all,
-        "mean_all": ad.mean_all,
-        "dot": lambda v: ad.dot(v, np.array([0.3, -1.2, 2.0])),
-        "concat_last": lambda v: ad.sum_all(ad.concat_last(v, np.ones(2))),
-    }
-    for name, build in prims.items():
-        x = rng.uniform(0.5, 1.5, size=3)
-        tape = Tape()
-        xv = tape.var(x.copy())
-        (g,) = ad.grad(build(xv), np.asarray(1.0), [xv])
-        g_fd = scalar_fd(build, x.copy())
+    def grade(name, g, g_fd):
         scale = max(1.0, np.abs(g_fd).max())
-        worst_prim = max(worst_prim, np.abs(g - g_fd).max() / scale)
+        errs[name] = np.abs(g - g_fd).max() / scale
+
+    # the VJP primitives that training and the rk4 traces run on, each as
+    # the gradient of <w, output> (+ <wl, logdet>) against FD
+    mlp = Mlp([3, 6, 2], seed=8)
+    mlp.set_params(rng.standard_normal(mlp.num_params))
+    x = rng.standard_normal((4, 3))
+    w = rng.standard_normal((4, 2))
+    p0 = mlp.get_params()
+
+    def mlp_of_params(params):
+        mlp.set_params(params)
+        return float((w * mlp(x)).sum())
+
+    acts = []
+    mlp(x, acts)
+    g_params = np.zeros(mlp.num_params)
+    g_x = mlp.vjp(acts, w, g_params)
+    grade("Mlp.vjp input", g_x, fd_grad(lambda xx: float((w * mlp(xx)).sum()), x))
+    grade("Mlp.vjp params", g_params, fd_grad(mlp_of_params, p0))
+    mlp.set_params(p0)
+
+    for order in range(4):
+        x = rng.uniform(0.5, 1.5, size=(4, 3)) * rng.choice([-1.0, 1.0], (4, 3))
+        c = rng.uniform(-0.2, 0.2, size=(4, 3))
+        wy, wl = rng.standard_normal((4, 3)), rng.standard_normal(4)
+
+        def step_objective(xx, cc, order=order, wy=wy, wl=wl):
+            y, logdet = ops.apply_step(ops.OperatorStep("q", order, 0.3, cc), xx)
+            return float((wy * y).sum() + (wl * logdet).sum())
+
+        step = ops.OperatorStep("q", order, 0.3, c)
+        y, _ = ops.apply_step(step, x)
+        g_x, g_c = ops.step_vjp(step, x, y, wy, wl)
+        grade(f"step_vjp k={order} x", g_x,
+              fd_grad(lambda xx: step_objective(xx, c), x))
+        grade(f"step_vjp k={order} coeff", g_c,
+              fd_grad(lambda cc: step_objective(x, cc), c))
+
+    for form, width in ((DIAGONAL, 3), (DENSE, 9)):
+        x = rng.standard_normal((4, 3))
+        c = rng.standard_normal((4, width))
+        wy = rng.standard_normal((4, 3))
+        g_x, g_c = coefficient_vjp(c, x, 1, form, wy)
+
+        def coeff_objective(cc, xx, form=form, wy=wy):
+            return float((wy * apply_coefficient(cc, xx, 1, form)).sum())
+
+        grade(f"coefficient_vjp {form} x", g_x,
+              fd_grad(lambda xx: coeff_objective(c, xx), x))
+        grade(f"coefficient_vjp {form} coeff", g_c,
+              fd_grad(lambda cc: coeff_objective(cc, x), c))
+    worst_name = max(errs, key=errs.get)
+    worst_prim = errs[worst_name]
 
     # end-to-end: nll_batch gradient on a small flow
     flow = VerletFlow.create(2, 2, order=1, hidden=[6], seed=3)
@@ -326,7 +339,8 @@ def test_criterion_8_gradient_suite():
     ok = worst_prim < 1e-5 and worst_e2e < 1e-3
     report(
         8, "gradient suite", ok,
-        f"worst primitive rel err {worst_prim:.1e} (tol 1e-5), "
+        f"worst VJP primitive rel err {worst_prim:.1e} [{worst_name}] "
+        f"over {len(errs)} checks (tol 1e-5), "
         f"worst end-to-end rel err {worst_e2e:.1e} (tol 1e-3)",
     )
 

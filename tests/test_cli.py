@@ -168,14 +168,18 @@ def test_logz_rk4_on_dense_k1_checkpoint(tmp_path, capsys, method):
 
 
 @pytest.mark.parametrize(
-    "command, methods",
-    [("logz", ["--method", "rk4-exact"]),
-     ("weights-hist", ["--method", "rk4-exact"]),
-     ("benchmark", ["--methods", "taylor-verlet,rk4-exact"])],
-    ids=["logz", "weights-hist", "benchmark"],
+    "command, methods, failing",
+    [("logz", ["--method", "rk4-exact"], "rk4-exact"),
+     ("weights-hist", ["--method", "rk4-exact"], "rk4-exact"),
+     ("benchmark", ["--methods", "taylor-verlet,rk4-exact"], "taylor-verlet"),
+     ("logz", ["--method", "taylor-verlet"], "taylor-verlet")],
+    ids=["logz", "weights-hist", "benchmark", "logz-partial"],
 )
-def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods):
+def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods,
+                                              failing):
     # order-3 flow whose q^2 and q^3 terms overflow in every rk4 trajectory
+    # and in 12 of the 16 taylor-verlet ones: fewer than SD_BATCHES valid
+    # weights leave no sd to report, so a partial failure exits 3 as well
     flow = VerletFlow.create(2, 2, order=3, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 1e3
     flow.q_nets[3].net.biases[-1][:] = 1e3
@@ -185,7 +189,8 @@ def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods
                    "--steps", "10", *methods])
     assert rc == 3
     captured = capsys.readouterr()
-    assert "numeric failure" in captured.err and "nan" not in captured.out
+    assert "numeric failure" in captured.err and f"[{failing}]" in captured.err
+    assert "nan" not in captured.out
 
 
 def test_logz_missing_checkpoint_is_usage_error(tmp_path):
@@ -204,9 +209,11 @@ def test_logz_non_finite_checkpoint_is_usage_error(trained_dir, capsys):
 
 
 def test_logz_single_sample_is_usage_error(trained_dir, capsys):
-    argv = ["logz", str(trained_dir / "checkpoint.txt"), "--samples", "1"]
-    assert main(argv) == 2
-    assert "at least 2 samples" in capsys.readouterr().err
+    # the sd is taken over SD_BATCHES = 10 batches: fewer samples cannot give one
+    for n in ("1", "9"):
+        argv = ["logz", str(trained_dir / "checkpoint.txt"), "--samples", n]
+        assert main(argv) == 2
+        assert "at least 10 samples" in capsys.readouterr().err
 
 
 def test_logz_csv_deterministic(trained_dir, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verletflow.autodiff import Mlp, Tape
+from verletflow.autodiff import Mlp
 from verletflow.flow import (
     DENSE,
     CoefficientNet,
@@ -55,15 +55,6 @@ def test_coefficient_net_appends_time_feature(rng):
     out1 = net(p, 0.25)
     assert np.array_equal(out1, mlp(np.concatenate([p, [0.25]])))
     assert not np.array_equal(out1, net(p, 0.75))  # time matters
-
-
-def test_coefficient_net_taped_matches_plain(rng):
-    mlp = Mlp([3, 5, 2], seed=2)
-    net = CoefficientNet("p", 1, mlp)
-    q = rng.standard_normal((4, 2))
-    tape = Tape()
-    out = net.taped(tape.var(q), 0.6)
-    assert np.allclose(out.value, net(q, 0.6), atol=0.0)
 
 
 def test_coefficient_net_validation():
@@ -124,27 +115,6 @@ def test_eval_field_is_sum_of_terms(rng):
     assert np.allclose(fp, sp, atol=0.0)
 
 
-def test_eval_field_taped_matches_plain(rng):
-    flow = VerletFlow.create(2, 3, order=1, hidden=[6], seed=4)
-    q = rng.standard_normal((5, 2))
-    p = rng.standard_normal((5, 3))
-    tape = Tape()
-    fq, fp = flow.eval_field_taped(tape.var(q), tape.var(p), 0.3)
-    fq0, fp0 = flow.eval_field(PhaseState(q=q, p=p, t=0.3))
-    assert np.allclose(fq.value, fq0, atol=0.0)
-    assert np.allclose(fp.value, fp0, atol=0.0)
-
-
-def _fd(f, x, h=1e-6):
-    g = np.zeros_like(x)
-    for i in np.ndindex(x.shape):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2 * h)
-    return g
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     order=st.integers(0, 3),
@@ -154,7 +124,7 @@ def _fd(f, x, h=1e-6):
     dense=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed):
+def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed, fd_grad):
     """(q, p) cotangents of <wq, f_q> + <wp, f_p> for orders 0-3, dims 1-4,
     vector and batch shapes, diagonal and dense k=1."""
     rng = np.random.default_rng(seed)
@@ -176,9 +146,9 @@ def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed):
     assert np.array_equal(fq, plain[0]) and np.array_equal(fp, plain[1])
     assert len(record) == 2 * (order + 1)
     gq, gp = flow.field_vjp(state, record, wq, wp)
-    assert np.allclose(gq, _fd(lambda q: objective(q, state.p), state.q),
+    assert np.allclose(gq, fd_grad(lambda q: objective(q, state.p), state.q),
                        rtol=1e-6, atol=1e-7)
-    assert np.allclose(gp, _fd(lambda p: objective(state.q, p), state.p),
+    assert np.allclose(gp, fd_grad(lambda p: objective(state.q, p), state.p),
                        rtol=1e-6, atol=1e-7)
     # a leading seed axis carries one cotangent per seed; None is zero
     sq, sp = flow.field_vjp(state, record, np.stack([wq, -2 * wq]), None)

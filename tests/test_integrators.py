@@ -149,9 +149,10 @@ def test_roundtrip_higher_order(rng):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)], ids=["fwd", "rev"])
-def test_verlet_vjp_matches_fd(order, t0, t1, rng):
-    """Parameter gradient of <wq, q1> + <wp, p1> + <wl, dlogp> through a
-    recorded run, in both directions, against finite differences."""
+def test_verlet_vjp_matches_fd(order, t0, t1, rng, fd_grad):
+    """Parameter and start-state gradients of <wq, q1> + <wp, p1> +
+    <wl, dlogp> through a recorded run, in both directions, against finite
+    differences."""
     flow = VerletFlow.create(2, 2, order=order, hidden=[5], seed=20 + order)
     for c in flow.q_nets[2:] + flow.p_nets[2:]:
         c.net.weights[-1] *= 0.05
@@ -161,8 +162,8 @@ def test_verlet_vjp_matches_fd(order, t0, t1, rng):
     wq, wp = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
     wl = rng.standard_normal(4)
 
-    def objective():
-        res = verlet_integrate(flow, start, cfg)
+    def objective(q=start.q, p=start.p):
+        res = verlet_integrate(flow, PhaseState(q=q, p=p, t=t0), cfg)
         return float((wq * res.state.q).sum() + (wp * res.state.p).sum()
                      + (wl * res.dlogp).sum())
 
@@ -172,7 +173,11 @@ def test_verlet_vjp_matches_fd(order, t0, t1, rng):
     assert np.array_equal(res.state.q, plain.state.q)
     assert np.array_equal(res.dlogp, plain.dlogp)
     assert len(record) == res.field_evaluations
-    g = verlet_vjp(flow, start, record, wq, wp, wl)
+    g, g_q0, g_p0 = verlet_vjp(flow, start, record, wq, wp, wl)
+    assert np.allclose(g_q0, fd_grad(lambda q: objective(q=q), start.q),
+                       rtol=1e-5, atol=1e-8)
+    assert np.allclose(g_p0, fd_grad(lambda p: objective(p=p), start.p),
+                       rtol=1e-5, atol=1e-8)
     p0 = flow.get_params()
     h = 1e-6
     for i in rng.choice(p0.size, size=30, replace=False):
@@ -186,6 +191,31 @@ def test_verlet_vjp_matches_fd(order, t0, t1, rng):
         fd = (fp - fm) / (2 * h)
         assert abs(g[i] - fd) <= 1e-5 * max(1.0, abs(fd))
     flow.set_params(p0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_composed_jacobian_logdet_matches_dlogp(order, d):
+    """The exact Jacobian oracle: one reverse sweep over D = 2d copies of a
+    start point, seeded with the identity rows and a zero dlogp cotangent,
+    returns every row of the composed map's Jacobian J, and log det J must
+    equal the log-det that the forward run accumulated, -dlogp."""
+    rng = np.random.default_rng(100 * order + d)
+    flow = VerletFlow.create(d, d, order=order, hidden=[8], seed=order + d)
+    for c in flow.q_nets[2:] + flow.p_nets[2:]:
+        c.net.weights[-1] *= 0.05
+    q0 = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
+    p0 = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
+    dim = 2 * d
+    start = PhaseState(q=np.tile(q0, (dim, 1)), p=np.tile(p0, (dim, 1)), t=0.0)
+    record = []
+    res = verlet_integrate(flow, start, IntegratorConfig(steps=4), record)
+    eye = np.eye(dim)
+    _, g_q0, g_p0 = verlet_vjp(flow, start, record, eye[:, :d], eye[:, d:],
+                               np.zeros(dim))
+    sign, logdet = np.linalg.slogdet(np.hstack([g_q0, g_p0]))
+    assert sign == 1.0
+    assert abs(logdet + res.dlogp[0]) < 1e-12
 
 
 # -- cross-method agreement --------------------------------------------------

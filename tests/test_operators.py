@@ -239,7 +239,7 @@ def test_batch_logdet_shape(rng):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_taped_step_matches_plain_and_grads(order, rng):
+def test_taped_step_matches_plain_and_grads(order, rng, fd_grad):
     # the x-cotangent of d(sum y)/dx against finite differences, forward
     # and inverse (an inverse step differentiates as the forward one at -tau)
     x = rng.uniform(0.5, 1.5, size=4)
@@ -249,25 +249,8 @@ def test_taped_step_matches_plain_and_grads(order, rng):
         y, _ = run(step, x)
         g, _ = ops.step_vjp(OperatorStep("q", order, tau, c), x, y,
                             np.ones(4), 0.0)
-        h = 1e-6
-        g_fd = np.empty(4)
-        for j in range(4):
-            dx = np.zeros(4)
-            dx[j] = h
-            g_fd[j] = (run(step, x + dx)[0].sum()
-                       - run(step, x - dx)[0].sum()) / (2 * h)
+        g_fd = fd_grad(lambda xx: run(step, xx)[0].sum(), x)
         assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-8)
-
-
-def _fd(f, x, h=1e-6):
-    """Central-difference gradient of scalar f at x (x is not modified)."""
-    g = np.empty_like(x)
-    for i in np.ndindex(x.shape):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2 * h)
-    return g
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +261,7 @@ def _fd(f, x, h=1e-6):
     sign=st.sampled_from([1.0, -1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_vjp_matches_fd(order, dim, rows, sign, seed):
+def test_step_vjp_matches_fd(order, dim, rows, sign, seed, fd_grad):
     """(gx, gc) of <wy, y> + <wl, logdet> for every order, both signs of
     tau, dims 1-4, vector and batch shapes."""
     rng = np.random.default_rng(seed)
@@ -298,8 +281,8 @@ def test_step_vjp_matches_fd(order, dim, rows, sign, seed):
 
     y, _ = ops.apply_step(step, x)
     gx, gc = ops.step_vjp(step, x, y, wy, wl)
-    fd_x = _fd(lambda xx: objective(xx, c), x)
-    fd_c = _fd(lambda cc: objective(x, cc), c)
+    fd_x = fd_grad(lambda xx: objective(xx, c), x)
+    fd_c = fd_grad(lambda cc: objective(x, cc), c)
     assert gx.shape == shape and np.shape(gc) == shape
     assert np.allclose(gx, fd_x, rtol=1e-6, atol=1e-7)
     assert np.allclose(gc, fd_c, rtol=1e-6, atol=1e-7)
