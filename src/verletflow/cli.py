@@ -35,6 +35,14 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    """argparse type for seeds, which numpy needs >= 0 (a usage error otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def cmd_train(args):
     try:
         config = Config.load(args.config)
@@ -252,7 +260,7 @@ def build_parser():
         description="Verlet flows: exact-likelihood augmented CNFs",
     )
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None)
+    seed.add_argument("--seed", type=non_negative_int, default=None)
     csv_out = argparse.ArgumentParser(add_help=False)
     csv_out.add_argument("--csv", type=str, default=None)
 

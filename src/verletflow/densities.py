@@ -7,9 +7,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (None: all axes), for float64 input.
+
+    The arithmetic of ``scipy.special.logsumexp`` on real input, so results
+    carry the same bits: the maximum and its m ties are factored out, the
+    rest sums to s, and the result is log1p(s / m) + log(m) + max.  Where
+    that is not finite (all -inf, an inf or a nan) the direct
+    log(sum(exp(a))) is returned instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        # initial=-inf: an empty reduction gives -inf, like the direct sum
+        a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+        ties = a == a_max
+        m = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
+        rest = np.exp(np.where(ties, -np.inf, a) - a_max)
+        s = np.sum(rest, axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    out = np.where(np.isfinite(out), out, direct)
+    return np.squeeze(out, axis=axis)[()]
 
 
 def standard_normal_logpdf(x):

@@ -13,9 +13,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .densities import UnnormalizedDensity, standard_normal_logpdf
+from .densities import UnnormalizedDensity, logsumexp, standard_normal_logpdf
 from .flow import PhaseState, VerletFlow
 from .integrators import (
     RK4_HUTCHINSON,

@@ -18,7 +18,7 @@ explicit vector-Jacobian products, which is how training gets its gradient.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,30 +99,30 @@ def _substeps(flow, q, p, t, tau, dlogp, counters, forward, record):
     """One Taylor-Verlet step at frozen time t, or its exact inverse.
 
     Forward runs k ascending, q before p; the inverse runs p before q, k
-    descending, with ``tau`` the duration of the forward step being undone.
+    descending.  ``tau`` is the duration every substep applies: the inverse
+    of a forward step of duration d is ``apply_step`` at ``tau = -d``.
     Coefficients are re-evaluated from the current values, which equal the
     ones the forward pass saw because a same-side step never moves the
     opposite side.
     """
     orders = range(flow.order + 1) if forward else range(flow.order, -1, -1)
     sides = ("q", "p") if forward else ("p", "q")
-    run = ops.apply_step if forward else ops.invert_step
     for k in orders:
         for side in sides:
             x, opp = (q, p) if side == "q" else (p, q)
             acts = [] if record is not None else None
-            coeff = flow.nets(side)[k](opp, t, acts)
+            net = flow.nets(side)[k]
+            coeff = net(opp, t, acts)
             counters["field_evaluations"] += 1
-            step = ops.OperatorStep(side, k, tau, coeff, flow.nets(side)[k].form)
-            x, logdet = run(step, x)
+            step = ops.OperatorStep(side, k, tau, coeff, net.form)
+            x, logdet = ops.apply_step(step, x)
             dlogp = dlogp - logdet
             if side == "q":
                 q = x
             else:
                 p = x
             if record is not None:
-                applied = step if forward else replace(step, tau=-tau)
-                record.append(Substep(applied, q, p, acts))
+                record.append(Substep(step, q, p, acts))
     return q, p, dlogp
 
 
@@ -151,10 +151,11 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
                 )
                 t = cfg.t0 + (i + 1) * tau
             else:
-                # undo the forward step that ran at frozen time t + tau
+                # undo the forward step of duration -tau (tau < 0 here)
+                # that ran at frozen time t + tau
                 t_step = cfg.t0 + (i + 1) * tau
                 q, p, dlogp = _substeps(
-                    flow, q, p, t_step, -tau, dlogp, counters, False, record
+                    flow, q, p, t_step, tau, dlogp, counters, False, record
                 )
                 t = t_step
         except ops.SingularityError as err:
@@ -181,9 +182,11 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
 
     ``start`` is the state the run began from, ``record`` the ``Substep``
     list it filled, and ``g_q``, ``g_p``, ``g_dlogp`` the cotangents of the
-    final q, p and per-sample dlogp.  The sweep walks the substeps in
-    reverse; each substep's input is the same-side value of the state before
-    it.  dlogp subtracts every substep's log-det, so each log-det's
+    final q, p and per-sample dlogp.  The sweep pops the substeps off
+    ``record`` in reverse and leaves it empty: each substep is released once
+    swept, so the sweep's temporaries reuse its memory instead of growing
+    the heap.  Each substep's input is the same-side value of the state
+    before it.  dlogp subtracts every substep's log-det, so each log-det's
     cotangent is ``-g_dlogp``.
     """
     grad = np.zeros(flow.num_params)
@@ -194,11 +197,11 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
             i += coeff.net.num_params
     g_logdet = -np.asarray(g_dlogp, dtype=np.float64)
     g = {"q": g_q, "p": g_p}
-    for j in range(len(record) - 1, -1, -1):
-        sub = record[j]
+    while record:
+        sub = record.pop()
         step = sub.step
         side, opp = step.side, "p" if step.side == "q" else "q"
-        before = record[j - 1] if j > 0 else start
+        before = record[-1] if record else start
         x = before.q if side == "q" else before.p
         y = sub.q if side == "q" else sub.p
         g[side], g_coeff = ops.step_vjp(step, x, y, g[side], g_logdet)

@@ -104,6 +104,8 @@ class Config:
                 raise ConfigError(f"bad k1_form {cfg.k1_form!r}")
             if cfg.d_q < 1 or cfg.d_p < 1 or cfg.order < 0:
                 raise ConfigError("dims must be >= 1 and order >= 0")
+            if cfg.train.seed < 0 or cfg.eval.seed < 0:
+                raise ConfigError("train and eval seeds must be >= 0")
             cfg.build_target()  # validate the target spec early
             return cfg
         except (TypeError, KeyError, ValueError) as err:
@@ -174,7 +176,7 @@ def load_checkpoint(path):
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")

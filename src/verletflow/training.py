@@ -73,7 +73,12 @@ class TapedFlowParams:
 
     def grad_flat(self):
         """Loss gradient w.r.t. every flow parameter, in checkpoint order
-        (q-side k ascending, then p-side; per net layer-major, W before b)."""
+        (q-side k ascending, then p-side; per net layer-major, W before b).
+
+        The sweep consumes the record, so the gradient is taken once.
+        """
+        if not self.record:
+            raise RuntimeError("grad_flat already swept this record")
         n = self.final.q.shape[0]
         # loss = mean(dlogp + |x0|^2 / 2) + const, with x0 = (q0, p0)
         grad, _, _ = verlet_vjp(
@@ -154,7 +159,7 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, order=1,
         rng = np.random.default_rng((cfg.seed, epoch))
         q_batch = target.sample(cfg.batch_size, seed=(cfg.seed, epoch, 1))
         try:
-            nll, params = nll_batch(flow, q_batch, cfg, rng, record=True)
+            nll, recorded = nll_batch(flow, q_batch, cfg, rng, record=True)
         except DivergenceError:
             diverged = True
             flow.set_params(last_good)
@@ -166,7 +171,10 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, order=1,
             diverged = True
             flow.set_params(last_good)
             break
-        grad = params.grad_flat()
+        grad = recorded.grad_flat()
+        # the sweep freed the record; nothing else of this batch may
+        # outlive the epoch either
+        del recorded
         new_params = opt.step(flow.get_params(), grad)
         if not np.all(np.isfinite(new_params)):
             diverged = True

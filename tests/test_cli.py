@@ -3,7 +3,12 @@ determinism, and exit codes (0 ok, 1 check failure, 2 usage, 3 numeric)."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrat
 from verletflow.cli import main
 from verletflow.densities import standard_normal_logpdf
 from verletflow.persist import Config, load_checkpoint, save_checkpoint
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -96,8 +103,6 @@ def test_train_divergence_is_numeric_error(tmp_path, capsys):
     )
     path = tmp_path / "diverge.json"
     cfg.save(path)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rc = main(["train", str(path), "--out", str(tmp_path / "out")])
@@ -206,6 +211,25 @@ def test_logz_non_finite_checkpoint_is_usage_error(trained_dir, capsys):
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert "logZ" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda lines: lines[:8] + ["0.5x"] + lines[9:],  # garbled parameter
+     lambda lines: lines[:-1],  # one parameter line missing
+     lambda lines: lines[:7]],  # no parameters at all
+    ids=["garbled", "missing", "empty-body"],
+)
+def test_logz_bad_parameter_lines_are_usage_errors(trained_dir, capsys, edit):
+    path = trained_dir / "checkpoint.txt"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["logz", str(path), "--samples", "10", "--steps", "2"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "bad checkpoint" in captured.err
+    assert "Warning" not in captured.err and captured.out == ""
 
 
 def test_logz_single_sample_is_usage_error(trained_dir, capsys):
@@ -383,6 +407,36 @@ def test_non_positive_steps_is_usage_error(trained_dir, tmp_path, capsys,
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "logz", "weights-hist", "benchmark",
+                                     "sample"])
+def test_negative_seed_is_usage_error(trained_dir, tiny_config, tmp_path, capsys,
+                                      command):
+    if command == "train":
+        argv = ["train", str(tiny_config), "--out", str(tmp_path / "o")]
+    else:
+        argv = [command, str(trained_dir / "checkpoint.txt"),
+                "--csv", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("section", ["train", "eval"])
+def test_negative_config_seed_is_usage_error(trained_dir, tmp_path, capsys, section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"hidden_sizes": [4], section: {"seed": -1}}))
+    if section == "train":
+        argv = ["train", str(path), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["logz", str(trained_dir / "checkpoint.txt"), "--config", str(path),
+                "--samples", "10", "--steps", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seeds must be >= 0" in err
+
+
 def test_sample_streams_blocks_with_its_own_draws(trained_dir, tmp_path):
     # more rows than one block; the output matches a one-shot integration
     # of the same draws (q rows first, then p rows, from one generator)
@@ -442,6 +496,15 @@ def test_unread_flag_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by dense k=1 steps, which import it lazily
+    code = ("import sys, verletflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_is_usage_error():

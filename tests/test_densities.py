@@ -1,8 +1,13 @@
 """Gaussian-mixture toys: log-densities against scipy oracles, normalization
-by grid quadrature, and sampling moments."""
+by grid quadrature, and sampling moments; the numpy logsumexp against
+scipy's bit for bit."""
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from verletflow.densities import (
@@ -10,9 +15,61 @@ from verletflow.densities import (
     Gmm,
     UnnormalizedDensity,
     default_trimodal,
+    logsumexp,
     standard_normal,
     standard_normal_logpdf,
 )
+
+
+def assert_same_bits(got, ref):
+    """Equal shapes and types, equal bits where finite, and the same inf
+    (with sign) and nan placement elsewhere."""
+    assert type(got) is type(ref)
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.array_equal(got, ref, equal_nan=True)
+    finite = np.isfinite(ref)
+    assert np.array_equal(got.view(np.uint64)[finite], ref.view(np.uint64)[finite])
+
+
+# few distinct values, so that maxima tie, plus -inf entries; a whole -inf
+# row and one inf or nan entry (the direct-sum fallback) are drawn apart
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.5, -3.0, 700.0, -745.0, -np.inf]),
+    st.floats(-800.0, 800.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                 elements=ENTRIES),
+    axis=st.sampled_from([None, -1]),
+    minus_inf_row=st.booleans(),
+    special=st.sampled_from([None, None, np.inf, np.nan]),
+    where=st.integers(0, 124),
+)
+def test_logsumexp_matches_scipy_bits(a, axis, minus_inf_row, special, where):
+    if minus_inf_row:
+        a.reshape(-1, a.shape[-1])[0] = -np.inf
+    if special is not None:
+        a.flat[where % a.size] = special
+    with np.errstate(all="ignore"):
+        ref = scipy.special.logsumexp(a, axis=axis)
+    assert_same_bits(logsumexp(a, axis=axis), ref)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[], [np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [-np.inf, -np.inf],
+     [np.inf, np.inf], [np.nan, -np.inf], [1e308, 1e308], [-1e308, 1e308], 5.0],
+    ids=str,
+)
+def test_logsumexp_edge_cases_match_scipy(a):
+    with np.errstate(all="ignore"):
+        ref = scipy.special.logsumexp(a)
+    assert_same_bits(logsumexp(a), ref)
 
 
 def test_standard_normal_logpdf_matches_scipy(rng):

@@ -198,7 +198,9 @@ def test_verlet_vjp_matches_fd(order, t0, t1, rng, fd_grad):
 def test_composed_jacobian_logdet_matches_dlogp(order, d):
     """The exact Jacobian oracle: one reverse sweep over D = 2d copies of a
     start point, seeded with the identity rows and a zero dlogp cotangent,
-    returns every row of the composed map's Jacobian J, and log det J must
+    returns every row of the composed map's Jacobian J.  J must match a
+    central-FD Jacobian of the forward map entrywise (so the cross-side
+    blocks, which log det J cannot see, are checked too), and log det J must
     equal the log-det that the forward run accumulated, -dlogp."""
     rng = np.random.default_rng(100 * order + d)
     flow = VerletFlow.create(d, d, order=order, hidden=[8], seed=order + d)
@@ -213,7 +215,17 @@ def test_composed_jacobian_logdet_matches_dlogp(order, d):
     eye = np.eye(dim)
     _, g_q0, g_p0 = verlet_vjp(flow, start, record, eye[:, :d], eye[:, d:],
                                np.zeros(dim))
-    sign, logdet = np.linalg.slogdet(np.hstack([g_q0, g_p0]))
+    jac = np.hstack([g_q0, g_p0])
+    # column j of J from the forward map at x0 +- h e_j, all in one batch
+    h = 1e-6
+    x0 = np.concatenate([q0, p0])
+    x = np.vstack([x0 + h * eye, x0 - h * eye])
+    out = verlet_integrate(flow, PhaseState(q=x[:, :d], p=x[:, d:], t=0.0),
+                           IntegratorConfig(steps=4)).state
+    y = np.hstack([out.q, out.p])
+    jac_fd = ((y[:dim] - y[dim:]) / (2 * h)).T
+    assert np.abs(jac - jac_fd).max() <= 1e-7 * max(1.0, np.abs(jac).max())
+    sign, logdet = np.linalg.slogdet(jac)
     assert sign == 1.0
     assert abs(logdet + res.dlogp[0]) < 1e-12
 

@@ -72,6 +72,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(truncated)
 
 
+def test_checkpoint_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "ck.txt"
+    path.write_bytes(b"\xff\xfe\x00 not text")
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
     path = tmp_path / "ck.txt"

@@ -3,6 +3,7 @@ reverse-sweep gradient matches finite differences at every Taylor order,
 training is deterministic and actually learns."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +112,37 @@ def test_recorded_nll_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_train_frees_each_record_before_the_next(monkeypatch):
+    # peak memory is one recorded batch: when an epoch's nll_batch starts,
+    # no earlier epoch's record may still be alive
+    import verletflow.training as tr
+
+    real, earlier = tr.nll_batch, []
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in earlier), "an earlier record is alive"
+        loss, recorded = real(*args, **kwargs)
+        earlier.append(weakref.ref(recorded))
+        return loss, recorded
+
+    monkeypatch.setattr(tr, "nll_batch", spy)
+    train(default_trimodal(), tiny_cfg(epochs=3))
+    assert len(earlier) == 3
+
+
+def test_grad_flat_sweeps_the_record_once():
+    # the sweep releases each substep as it goes, so a second sweep has
+    # nothing to differentiate and must say so instead of returning zeros
+    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=1)
+    q = default_trimodal().sample(16, seed=0)
+    _, recorded = nll_batch(flow, q, tiny_cfg(), np.random.default_rng(7),
+                            record=True)
+    assert np.any(recorded.grad_flat() != 0)
+    assert recorded.record == []
+    with pytest.raises(RuntimeError, match="already swept"):
+        recorded.grad_flat()
 
 
 def test_nll_batch_rejects_bad_shapes():
