@@ -83,16 +83,17 @@ class CoefficientNet:
         if self.order == 1 and self.form not in (DIAGONAL, DENSE):
             raise ValueError(f"bad k=1 form {self.form!r}")
 
-    def __call__(self, opposite, t, acts=None):
+    def __call__(self, opposite, t, acts=None, work=None):
         """Realize the coefficient at (opposite-variable, t); plain numpy.
 
-        ``acts`` is passed on to ``Mlp.__call__`` to record the activations.
+        ``acts`` and ``work`` are passed on to ``Mlp.__call__``: a list to
+        record the activations in, or a ``workspace`` to reuse.
         """
         opposite = np.asarray(opposite, dtype=np.float64)
         x = np.empty(opposite.shape[:-1] + (opposite.shape[-1] + 1,))
         x[..., :-1] = opposite
         x[..., -1] = t
-        return self.net(x, acts)
+        return self.net(x, acts, work)
 
     def taped(self, opposite, t):
         """Retired tape placeholder (see ``autodiff.grad``)."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
+from .autodiff import workspace
 from .flow import NumericError, PhaseState, VerletFlow
 
 TAYLOR_VERLET = "taylor-verlet"
@@ -95,7 +96,7 @@ class Substep:
 # Taylor-Verlet
 
 
-def _substeps(flow, q, p, t, tau, dlogp, counters, forward, record):
+def _substeps(flow, q, p, t, tau, dlogp, counters, forward, record, work):
     """One Taylor-Verlet step at frozen time t, or its exact inverse.
 
     Forward runs k ascending, q before p; the inverse runs p before q, k
@@ -103,7 +104,7 @@ def _substeps(flow, q, p, t, tau, dlogp, counters, forward, record):
     of a forward step of duration d is ``apply_step`` at ``tau = -d``.
     Coefficients are re-evaluated from the current values, which equal the
     ones the forward pass saw because a same-side step never moves the
-    opposite side.
+    opposite side.  ``work`` is the nets' activation workspace, or None.
     """
     orders = range(flow.order + 1) if forward else range(flow.order, -1, -1)
     sides = ("q", "p") if forward else ("p", "q")
@@ -112,7 +113,7 @@ def _substeps(flow, q, p, t, tau, dlogp, counters, forward, record):
             x, opp = (q, p) if side == "q" else (p, q)
             acts = [] if record is not None else None
             net = flow.nets(side)[k]
-            coeff = net(opp, t, acts)
+            coeff = net(opp, t, acts, work)
             counters["field_evaluations"] += 1
             step = ops.OperatorStep(side, k, tau, coeff, net.form)
             x, logdet = ops.apply_step(step, x)
@@ -132,7 +133,8 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
 
     ``t1 < t0`` runs the exact inverse of the forward integrator that maps
     t1 up to t0.  ``record``, if a list, receives one ``Substep`` per
-    substep for ``verlet_vjp``.
+    substep for ``verlet_vjp``.  An unrecorded batch run gives every net
+    call one reused activation workspace.
     """
     if cfg.method != TAYLOR_VERLET:
         raise ValueError(f"verlet_integrate got method {cfg.method!r}")
@@ -143,11 +145,14 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     q, p, dlogp, t = state.q, state.p, state.dlogp, cfg.t0
     counters = {"field_evaluations": 0}
     forward = cfg.t1 > cfg.t0
+    work = None
+    if record is None and q.ndim == 2:
+        work = workspace(flow._all_nets(), q.shape[0])
     for i in range(cfg.steps):
         try:
             if forward:
                 q, p, dlogp = _substeps(
-                    flow, q, p, t, tau, dlogp, counters, True, record
+                    flow, q, p, t, tau, dlogp, counters, True, record, work
                 )
                 t = cfg.t0 + (i + 1) * tau
             else:
@@ -155,7 +160,7 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
                 # that ran at frozen time t + tau
                 t_step = cfg.t0 + (i + 1) * tau
                 q, p, dlogp = _substeps(
-                    flow, q, p, t_step, tau, dlogp, counters, False, record
+                    flow, q, p, t_step, tau, dlogp, counters, False, record, work
                 )
                 t = t_step
         except ops.SingularityError as err:

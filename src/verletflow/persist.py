@@ -26,6 +26,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(value, name):
+    """A config count: JSON integers only, so a float such as 2.5 or a
+    bool is an error rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class EvalConfig:
     steps: int = 100
@@ -77,28 +85,33 @@ class Config:
         try:
             cfg = cls()
             dims = data.get("dims", {})
-            cfg.d_q = int(dims.get("d_q", cfg.d_q))
-            cfg.d_p = int(dims.get("d_p", cfg.d_p))
-            cfg.order = int(data.get("order", cfg.order))
-            cfg.hidden_sizes = tuple(data.get("hidden_sizes", cfg.hidden_sizes))
+            cfg.d_q = _integer(dims.get("d_q", cfg.d_q), "d_q")
+            cfg.d_p = _integer(dims.get("d_p", cfg.d_p), "d_p")
+            cfg.order = _integer(data.get("order", cfg.order), "order")
+            hidden = data.get("hidden_sizes", cfg.hidden_sizes)
+            cfg.hidden_sizes = tuple(_integer(h, "hidden_sizes") for h in hidden)
+            if any(h < 1 for h in cfg.hidden_sizes):
+                raise ConfigError(f"hidden sizes must be >= 1, got {list(hidden)}")
             cfg.k1_form = data.get("k1_form", cfg.k1_form)
             cfg.target = data.get("target", cfg.target)
             tr = data.get("train", {})
             cfg.train = TrainConfig(
-                epochs=int(tr.get("epochs", 200)),
-                batch_size=int(tr.get("batch_size", 256)),
+                epochs=_integer(tr.get("epochs", 200), "train.epochs"),
+                batch_size=_integer(tr.get("batch_size", 256), "train.batch_size"),
                 learning_rate=float(tr.get("learning_rate", 1e-3)),
-                steps=int(tr.get("steps", 20)),
-                seed=int(tr.get("seed", 0)),
-                hidden_sizes=tuple(data.get("hidden_sizes", (64, 64, 64))),
+                steps=_integer(tr.get("steps", 20), "train.steps"),
+                seed=_integer(tr.get("seed", 0), "train.seed"),
+                hidden_sizes=cfg.hidden_sizes,
             )
             ev = data.get("eval", {})
             cfg.eval = EvalConfig(
-                steps=int(ev.get("steps", 100)),
+                steps=_integer(ev.get("steps", 100), "eval.steps"),
                 method=ev.get("method", "taylor-verlet"),
-                samples=int(ev.get("samples", 100_000)),
-                seed=int(ev.get("seed", 0)),
-                hutchinson_probes=int(ev.get("hutchinson_probes", 1)),
+                samples=_integer(ev.get("samples", 100_000), "eval.samples"),
+                seed=_integer(ev.get("seed", 0), "eval.seed"),
+                hutchinson_probes=_integer(
+                    ev.get("hutchinson_probes", 1), "eval.hutchinson_probes"
+                ),
             )
             if cfg.k1_form not in ("diagonal", "dense"):
                 raise ConfigError(f"bad k1_form {cfg.k1_form!r}")
@@ -173,30 +186,33 @@ def save_checkpoint(path, flow: VerletFlow):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The body is parsed line by line straight into float64, so loading holds
+    no copy of the file's text.  Every failure is a ``CheckpointError``.
+    """
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            if fh.readline().rstrip("\n") != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
+            header = {}
+            while line := fh.readline().rstrip("\n"):  # to the blank line or EOF
+                key, _, value = line.partition("=")
+                header[key] = value
+            flow = VerletFlow.create(
+                int(header["d_q"]),
+                int(header["d_p"]),
+                int(header["order"]),
+                hidden=[int(h) for h in header["hidden"].split(",")],
+                seed=0,
+                k1_form=header.get("k1_form", "diagonal"),
+            )
+            params = np.fromiter((float(v) for v in fh if v != "\n"), np.float64)
+        flow.set_params(params)
+    except CheckpointError:
+        raise
     except (OSError, UnicodeDecodeError) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    header = {}
-    i = 1
-    while i < len(lines) and lines[i]:
-        key, _, value = lines[i].partition("=")
-        header[key] = value
-        i += 1
-    try:
-        flow = VerletFlow.create(
-            int(header["d_q"]),
-            int(header["d_p"]),
-            int(header["order"]),
-            hidden=[int(h) for h in header["hidden"].split(",")],
-            seed=0,
-            k1_form=header.get("k1_form", "diagonal"),
-        )
-        params = np.array([float(v) for v in lines[i + 1 :] if v], dtype=np.float64)
-        flow.set_params(params)
     except (KeyError, ValueError) as err:
         raise CheckpointError(f"{path}: bad checkpoint ({err})") from err
     bad = np.flatnonzero(~np.isfinite(params))

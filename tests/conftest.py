@@ -5,12 +5,18 @@ checkpoint under the pytest cache directory so repeated runs of the
 acceptance suite skip retraining.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import verletflow
 from verletflow import VerletFlow
+
+SRC = str(Path(verletflow.__file__).resolve().parents[1])
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -23,6 +29,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run ``code`` in a new interpreter that imports this source tree and
+    return its stdout; for what a long test session's heap and module cache
+    would hide."""
+
+    def run(code):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=env).stdout
+
+    return run
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verletflow.autodiff import Mlp
+from verletflow.autodiff import Mlp, workspace
 
 REL_TOL = 1e-5
 
@@ -49,6 +49,22 @@ def test_mlp_forward_matches_plain(rng):
     assert np.array_equal(mlp(x), out)
     assert len(acts) == 2
     assert np.array_equal(acts[0], x) and np.array_equal(acts[1], h)
+
+
+def test_mlp_workspace_matches_fresh_bits(rng):
+    """Hidden layers of unequal widths alternating through one workspace,
+    reused across calls of two nets and two row counts, give the bits of
+    fresh arrays; the output is never a workspace view."""
+    nets = [Mlp([3, 16, 8, 32, 2], seed=2), Mlp([3, 4, 2], seed=3)]
+    work = workspace(nets, 50)
+    for rows in (50, 7, 50):
+        for mlp in nets:
+            x = rng.standard_normal((rows, 3))
+            out = mlp(x, work=work)
+            assert np.array_equal(out, mlp(x))
+            assert not any(np.shares_memory(out, buf) for buf in work)
+    with pytest.raises(ValueError, match="workspace"):
+        nets[0](x, [], work)
 
 
 def test_mlp_gradient_vs_fd(rng, fd_grad):

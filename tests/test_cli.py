@@ -3,12 +3,8 @@ determinism, and exit codes (0 ok, 1 check failure, 2 usage, 3 numeric)."""
 
 import csv
 import json
-import os
-import subprocess
-import sys
 import warnings
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +15,6 @@ from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrat
 from verletflow.cli import main
 from verletflow.densities import standard_normal_logpdf
 from verletflow.persist import Config, load_checkpoint, save_checkpoint
-
-SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -85,6 +79,19 @@ def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "o").exists()  # a rejected run leaves no directory
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"train": {"batch_size": 8.9, "steps": 2.5}}, {"hidden_sizes": [64.5, 64]},
+     {"hidden_sizes": [0, 64]}],
+    ids=["float-counts", "float-width", "zero-width"],
+)
+def test_non_integer_config_counts_are_usage_errors(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_train_missing_config_is_usage_error(tmp_path):
@@ -498,13 +505,13 @@ def test_unread_flag_is_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(fresh_python):
     # scipy is needed only by dense k=1 steps, which import it lazily
-    code = ("import sys, verletflow.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "[]"
+    out = fresh_python(
+        "import sys, verletflow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "[]"
 
 
 def test_unknown_subcommand_is_usage_error():

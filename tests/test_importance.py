@@ -154,3 +154,24 @@ def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
 def test_estimate_rejects_tiny_n(identity_flow, normal_target):
     with pytest.raises(ValueError):
         estimate_logZ(identity_flow, normal_target, 1, IntegratorConfig(steps=2))
+
+
+def test_log_weights_speed_does_not_depend_on_heap_history(fresh_python):
+    # in a fresh interpreter no earlier large allocation has raised the
+    # allocator's trim threshold, so 512 KiB activations allocated per net
+    # call would be handed back to the kernel and faulted in again on every
+    # call (~12k minor faults here); the reused workspace takes a few hundred
+    out = fresh_python(
+        "import resource\n"
+        "from verletflow import IntegratorConfig, VerletFlow\n"
+        "from verletflow.densities import UnnormalizedDensity, standard_normal\n"
+        "from verletflow.importance import log_weights\n"
+        "flow = VerletFlow.create(2, 2, 1, seed=3)\n"
+        "target = UnnormalizedDensity(standard_normal(2))\n"
+        "cfg = IntegratorConfig(steps=10, seed=0)\n"
+        "log_weights(flow, target, 2048, cfg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "log_weights(flow, target, 2048, cfg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    assert int(out) <= 2000

@@ -148,6 +148,28 @@ def test_roundtrip_higher_order(rng):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("rows", [1024, 37], ids=["block", "tail"])
+@pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)], ids=["fwd", "rev"])
+def test_workspace_run_matches_recorded_bits(order, rows, t0, t1):
+    # an unrecorded batch run reuses one activation workspace; a recorded
+    # run allocates every activation, so any aliasing would show as a bit
+    # difference between the two
+    flow = VerletFlow.create(2, 3, order, hidden=[16, 8, 32], seed=order)
+    for side in ("q", "p"):
+        for c in flow.nets(side)[2:]:
+            c.net.weights[-1] *= 0.05
+    rng = np.random.default_rng(order)
+    state = PhaseState(q=rng.uniform(0.5, 1.5, (rows, 2)),
+                       p=rng.uniform(0.5, 1.5, (rows, 3)), t=t0)
+    cfg = IntegratorConfig(t0=t0, t1=t1, steps=5)
+    plain = verlet_integrate(flow, state, cfg)
+    recorded = verlet_integrate(flow, state, cfg, record=[])
+    assert np.array_equal(plain.state.q, recorded.state.q)
+    assert np.array_equal(plain.state.p, recorded.state.p)
+    assert np.array_equal(plain.dlogp, recorded.dlogp)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)], ids=["fwd", "rev"])
 def test_verlet_vjp_matches_fd(order, t0, t1, rng, fd_grad):
     """Parameter and start-state gradients of <wq, q1> + <wp, p1> +

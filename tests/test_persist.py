@@ -1,6 +1,8 @@
 """Checkpoint and config persistence: bit-exact round-trips and validation."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,39 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "ck2.txt"
     save_checkpoint(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+REFERENCE = (Path(__file__).resolve().parents[1]
+             / "perfbench" / "fixtures" / "reference_checkpoint.txt")
+
+
+@pytest.mark.parametrize(
+    "order,form", [(0, "diagonal"), (1, "diagonal"), (2, "diagonal"),
+                   (3, "diagonal"), (1, "dense")],
+)
+def test_checkpoint_roundtrip_all_orders(tmp_path, order, form):
+    flow = VerletFlow.create(2, 2, order, hidden=[6, 3], seed=order, k1_form=form)
+    flow.set_params(np.random.default_rng(order).standard_normal(flow.num_params))
+    path = tmp_path / "ck.txt"
+    save_checkpoint(path, flow)
+    loaded = load_checkpoint(path)
+    assert loaded.k1_form == form
+    assert loaded.get_params().tobytes() == flow.get_params().tobytes()
+
+
+def test_reference_checkpoint_roundtrips_in_little_memory(tmp_path):
+    # the body streams into one float64 array: no copy of the file's text
+    # and no list of per-line strings (~4.2 MB when it read the whole file)
+    tracemalloc.start()
+    try:
+        flow = load_checkpoint(REFERENCE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+    path = tmp_path / "ck.txt"
+    save_checkpoint(path, flow)
+    assert path.read_bytes() == REFERENCE.read_bytes()
 
 
 def test_checkpoint_format_layout(tmp_path):
@@ -121,6 +156,30 @@ def test_config_validation_errors(tmp_path):
         Config.load(bad)
     with pytest.raises(ConfigError):
         Config.load(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dims": {"d_q": 2.0}},
+        {"order": True},
+        {"hidden_sizes": [64.5, 64]},
+        {"hidden_sizes": [0, 64]},
+        {"hidden_sizes": "64"},
+        {"train": {"epochs": 2.7}},
+        {"train": {"batch_size": 8.9}},
+        {"train": {"steps": 2.5}},
+        {"train": {"seed": 1.9}},
+        {"eval": {"steps": "10"}},
+        {"eval": {"samples": 10.5}},
+        {"eval": {"seed": False}},
+        {"eval": {"hutchinson_probes": 1.5}},
+    ],
+    ids=lambda d: json.dumps(d),
+)
+def test_config_counts_must_be_integers(data):
+    with pytest.raises(ConfigError):
+        Config.from_dict(data)
 
 
 def test_config_builds_targets(rng):
