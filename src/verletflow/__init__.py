@@ -4,7 +4,7 @@ harness for partition-constant estimation."""
 
 from .autodiff import Mlp
 from .couplings import CouplingLayer, apply_coupling, as_verlet_steps
-from .densities import AugmentedDensity, Gmm, UnnormalizedDensity, default_trimodal
+from .densities import Gmm, UnnormalizedDensity, default_trimodal
 from .flow import CoefficientNet, PhaseState, VerletFlow
 from .importance import WeightReport, estimate_logZ, log_weights
 from .integrators import (
@@ -21,7 +21,6 @@ from .training import TrainConfig, TrainReport, nll_batch, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedDensity",
     "CoefficientNet",
     "Config",
     "CouplingLayer",

@@ -120,11 +120,3 @@ def apply_verlet_steps(steps, q, p):
         else:
             p = x
     return q, p, total
-
-
-def coupling_stack_as_steps(layers, tau):
-    """Step sequence equivalent to composing the given coupling layers."""
-    steps = []
-    for layer in layers:
-        steps.extend(as_verlet_steps(layer, tau))
-    return steps

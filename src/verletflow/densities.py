@@ -1,10 +1,10 @@
-"""Analytic toy densities: isotropic Gaussian mixtures, their augmented
-phase-space extensions, and unnormalized variants with a known partition
-constant for end-to-end checks of the importance-sampling estimator."""
+"""Analytic toy densities: isotropic Gaussian mixtures and unnormalized
+variants with a known partition constant for end-to-end checks of the
+importance-sampling estimator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,32 +88,15 @@ def standard_normal(dim):
 
 
 @dataclass
-class AugmentedDensity:
-    """Joint density pi(q, p) = q_density(q) * N(p; 0, I)."""
-
-    q_density: Gmm
-    d_p: int
-
-    def log_density(self, q, p):
-        return self.q_density.log_density(q) + standard_normal_logpdf(p)
-
-    def sample(self, n, seed):
-        rng = np.random.default_rng(seed)
-        q = self.q_density.sample(n, rng.integers(2**63))
-        p = rng.standard_normal((n, self.d_p))
-        return q, p
-
-
-@dataclass
 class UnnormalizedDensity:
     """log pi_hat(x) = log pi_base(x) + logZ_true, with logZ_true injected
     deliberately so the partition-constant estimator has a known answer."""
 
-    base: object  # Gmm or AugmentedDensity
+    base: Gmm
     logZ_true: float = float(np.log(2.0))
 
-    def log_density(self, *x):
-        return self.base.log_density(*x) + self.logZ_true
+    def log_density(self, x):
+        return self.base.log_density(x) + self.logZ_true
 
 
 def default_trimodal(variance=0.3):

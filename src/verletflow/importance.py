@@ -18,9 +18,7 @@ from .densities import UnnormalizedDensity, logsumexp, standard_normal_logpdf
 from .flow import PhaseState, VerletFlow
 from .integrators import (
     RK4_HUTCHINSON,
-    TAYLOR_VERLET,
     IntegrationError,
-    IntegratorConfig,
     integrate,
     rademacher_probes,
 )
@@ -69,12 +67,6 @@ def source_rows(seed, lo, hi, dim):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
         x[row] = np.random.default_rng(child).standard_normal(dim)
     return x
-
-
-def draw_source(d_q, d_p, n, seed):
-    """n augmented-source draws, seeded per sample from (seed, index)."""
-    x = source_rows(seed, 0, n, d_q + d_p)
-    return x[:, :d_q], x[:, d_q:]
 
 
 def _integrate_block(flow, q0, p0, cfg, eps):

@@ -76,7 +76,7 @@ class IntegrationResult:
     state: PhaseState
     dlogp: object
     wall_time: float
-    step_count: int
+    # per trajectory: coefficient-net calls (Verlet) or field calls (RK4)
     field_evaluations: int
 
 
@@ -96,16 +96,18 @@ class Substep:
 # Taylor-Verlet
 
 
-def _substeps(flow, q, p, t, tau, dlogp, counters, forward, record, work):
+def _substeps(flow, q, p, t, tau, dlogp, record, work):
     """One Taylor-Verlet step at frozen time t, or its exact inverse.
 
-    Forward runs k ascending, q before p; the inverse runs p before q, k
-    descending.  ``tau`` is the duration every substep applies: the inverse
-    of a forward step of duration d is ``apply_step`` at ``tau = -d``.
-    Coefficients are re-evaluated from the current values, which equal the
-    ones the forward pass saw because a same-side step never moves the
-    opposite side.  ``work`` is the nets' activation workspace, or None.
+    ``tau`` is the duration every substep applies, and its sign picks the
+    direction.  A forward step (tau > 0) runs k ascending, q before p; the
+    inverse of a forward step of duration d runs p before q, k descending,
+    each substep ``apply_step`` at ``tau = -d``.  Coefficients are
+    re-evaluated from the current values, which equal the ones the forward
+    pass saw because a same-side step never moves the opposite side.
+    ``work`` is the nets' activation workspace, or None.
     """
+    forward = tau > 0
     orders = range(flow.order + 1) if forward else range(flow.order, -1, -1)
     sides = ("q", "p") if forward else ("p", "q")
     for k in orders:
@@ -113,9 +115,7 @@ def _substeps(flow, q, p, t, tau, dlogp, counters, forward, record, work):
             x, opp = (q, p) if side == "q" else (p, q)
             acts = [] if record is not None else None
             net = flow.nets(side)[k]
-            coeff = net(opp, t, acts, work)
-            counters["field_evaluations"] += 1
-            step = ops.OperatorStep(side, k, tau, coeff, net.form)
+            step = ops.OperatorStep(side, k, tau, net(opp, t, acts, work), net.form)
             x, logdet = ops.apply_step(step, x)
             dlogp = dlogp - logdet
             if side == "q":
@@ -142,27 +142,16 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         raise ValueError(f"state.t={state.t} != cfg.t0={cfg.t0}")
     start = time.perf_counter()
     tau = cfg.tau
-    q, p, dlogp, t = state.q, state.p, state.dlogp, cfg.t0
-    counters = {"field_evaluations": 0}
-    forward = cfg.t1 > cfg.t0
+    q, p, dlogp = state.q, state.p, state.dlogp
     work = None
     if record is None and q.ndim == 2:
         work = workspace(flow._all_nets(), q.shape[0])
     for i in range(cfg.steps):
+        # a reverse step (tau < 0) undoes the forward step of duration -tau
+        # that ran at frozen time t0 + (i + 1) * tau
+        t = cfg.t0 + (i if tau > 0 else i + 1) * tau
         try:
-            if forward:
-                q, p, dlogp = _substeps(
-                    flow, q, p, t, tau, dlogp, counters, True, record, work
-                )
-                t = cfg.t0 + (i + 1) * tau
-            else:
-                # undo the forward step of duration -tau (tau < 0 here)
-                # that ran at frozen time t + tau
-                t_step = cfg.t0 + (i + 1) * tau
-                q, p, dlogp = _substeps(
-                    flow, q, p, t_step, tau, dlogp, counters, False, record, work
-                )
-                t = t_step
+            q, p, dlogp = _substeps(flow, q, p, t, tau, dlogp, record, work)
         except ops.SingularityError as err:
             raise IntegrationError(f"step {i}: {err}", step=i) from err
     try:
@@ -175,8 +164,7 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         state=final,
         dlogp=dlogp,
         wall_time=time.perf_counter() - start,
-        step_count=cfg.steps,
-        field_evaluations=counters["field_evaluations"],
+        field_evaluations=cfg.steps * 2 * (flow.order + 1),
     )
 
 
@@ -305,10 +293,8 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
             cfg.seed, range(n), cfg.hutchinson_probes,
             q.shape[-1] + p.shape[-1],
         )
-    counters = 0
 
     def deriv(qq, pp, t):
-        nonlocal counters
         try:
             st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
         except ValueError as err:  # a stage input overflowed
@@ -320,7 +306,6 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         else:
             bank = hutchinson_eps if batch else hutchinson_eps[0]
             tr = _hutchinson_trace(flow, st, record, bank)
-        counters += 1
         return fq, fp, -tr
 
     t = cfg.t0
@@ -343,8 +328,7 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         state=final,
         dlogp=ell,
         wall_time=time.perf_counter() - start,
-        step_count=cfg.steps,
-        field_evaluations=counters,
+        field_evaluations=4 * cfg.steps,
     )
 
 

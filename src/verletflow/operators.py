@@ -3,7 +3,9 @@ exact log-determinants, and their vector-Jacobian products.
 
 Each operator acts on one side (q or p) with the coefficient realized at the
 current opposite variable and time, which a same-side step never touches, so
-forward steps are exactly invertible by re-evaluating the coefficient.
+forward steps are exactly invertible by re-evaluating the coefficient.  Each
+update is the exact flow of a frozen vector field, so its inverse is the
+same closed form run for -tau.
 
 All functions take plain arrays (vector or batch); the log-det is returned
 per sample (a scalar for vector inputs, shape ``(n,)`` for batches).
@@ -11,7 +13,7 @@ per sample (a scalar for vector inputs, shape ``(n,)`` for batches).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,68 +43,45 @@ class OperatorStep:
     form: str = "diagonal"  # order-1 only
 
 
-def _zeros_like_logdet(x):
-    return np.zeros(np.shape(x)[:-1])
-
-
 # ---------------------------------------------------------------------------
-# order 0: translation
+# closed-form updates
 
 
-def apply_order0(x, s0, tau):
-    """x + tau * s0; log-det is exactly zero."""
-    return x + tau * s0, _zeros_like_logdet(x)
+def apply_step(step: OperatorStep, x):
+    """``(y, logdet)``: the closed-form update of x and its per-sample
+    log-det.
 
-
-def invert_order0(x, s0, tau):
-    return x - tau * s0, _zeros_like_logdet(x)
-
-
-# ---------------------------------------------------------------------------
-# order 1: elementwise (or dense) exponential scaling
-
-
-def apply_order1(x, s1, tau, form="diagonal"):
-    """exp(tau*s1) applied to x; log-det = tr(tau*s1).
-
-    Diagonal form scales elementwise.  Dense form applies a true matrix
-    exponential (``scipy.linalg.expm``) and is inference-only.
+    * order 0 translates, ``x + tau*s``, and preserves volume;
+    * order 1 scales, ``exp(tau*s) x`` with log-det ``tr(tau*s)``: elementwise
+      in the diagonal form, a true matrix exponential (``scipy.linalg.expm``)
+      in the inference-only dense form;
+    * order k >= 2 solves dx/dt = s * x^k componentwise (below).
     """
+    tau, k = step.tau, step.order
+    if k == 0:
+        return x + tau * step.coeff, np.zeros(np.shape(x)[:-1])
     x = np.asarray(x, dtype=np.float64)
-    s1 = np.asarray(s1, dtype=np.float64)
-    if form == "dense":
-        d = x.shape[-1]
-        mats = s1.reshape(s1.shape[:-1] + (d, d))
-        # imported here: scipy.linalg adds ~80 ms to the package import,
-        # and only the inference-only dense form needs it
-        from scipy.linalg import expm
+    s = np.asarray(step.coeff, dtype=np.float64)
+    if k == 1:
+        if step.form == "dense":
+            mats = s.reshape(s.shape[:-1] + (x.shape[-1],) * 2)
+            # imported here: scipy.linalg adds ~80 ms to the package import,
+            # and only the inference-only dense form needs it
+            from scipy.linalg import expm
 
-        em = expm(tau * mats)
-        y = np.einsum("...ij,...j->...i", em, x)
-        logdet = tau * np.trace(mats, axis1=-2, axis2=-1)
-        return y, logdet
-    return np.exp(tau * s1) * x, tau * s1.sum(axis=-1)
-
-
-def invert_order1(x, s1, tau, form="diagonal"):
-    return apply_order1(x, s1, -tau, form=form)
-
-
-# ---------------------------------------------------------------------------
-# sparse higher orders: componentwise ODE dx/dt = s * x^k, k >= 2
-#
-# The closed form is x' = (x^(1-k) + tau*(1-k)*s)^(1/(1-k)) componentwise.
-# Because the base equals x'^(1-k), the tabulated log-det
-#   sum_i [k/(1-k)] log|base_i| - k log|x_i|
-# collapses to  k * sum_i (log|x'_i| - log|x_i|),  which is what we compute.
-# The base must keep the sign of x^(1-k) throughout the step (a sign flip
-# means the trajectory blew up); for k >= 3 the base is always positive and
-# the output keeps the sign of x, since the odd-power ODE preserves sign.
-
-
-def _orderk_transform(x, sk, k, tau):
-    x = np.asarray(x, dtype=np.float64)
-    sk = np.asarray(sk, dtype=np.float64)
+            y = np.einsum("...ij,...j->...i", expm(tau * mats), x)
+            return y, tau * np.trace(mats, axis1=-2, axis2=-1)
+        return np.exp(tau * s) * x, tau * s.sum(axis=-1)
+    if k < 0:
+        raise ValueError(f"operator order must be >= 0, got {k}")
+    # The closed form is x' = (x^(1-k) + tau*(1-k)*s)^(1/(1-k)) componentwise.
+    # Because the base equals x'^(1-k), the tabulated log-det
+    #   sum_i [k/(1-k)] log|base_i| - k log|x_i|
+    # collapses to  k * sum_i (log|x'_i| - log|x_i|),  which is what we
+    # compute.  The base must keep the sign of x^(1-k) throughout the step (a
+    # sign flip means the trajectory blew up); for k >= 3 the base is always
+    # positive and the output keeps the sign of x, since the odd-power ODE
+    # preserves sign.
     small = np.abs(x) <= SINGULARITY_MARGIN
     if np.any(small):
         comp = int(np.argwhere(small)[0][-1])
@@ -111,7 +90,7 @@ def _orderk_transform(x, sk, k, tau):
         )
     sgn = np.sign(x)
     base0 = x ** (1 - k)  # sign of x for even k, positive for odd k
-    base1 = base0 + tau * (1 - k) * sk
+    base1 = base0 + tau * (1 - k) * s
     bad = (np.sign(base1) != np.sign(base0)) | (np.abs(base1) <= SINGULARITY_MARGIN)
     if np.any(bad):
         comp = int(np.argwhere(bad)[0][-1])
@@ -120,7 +99,7 @@ def _orderk_transform(x, sk, k, tau):
         )
     # |base| through the constant sign factor sgn_b
     sgn_b = np.sign(base1)
-    base = sgn_b * x ** float(1 - k) + (sgn_b * tau * (1 - k)) * sk
+    base = sgn_b * x ** float(1 - k) + (sgn_b * tau * (1 - k)) * s
     y = sgn * base ** (1.0 / (1 - k))
     logdet = float(k) * (
         np.log(sgn * y).sum(axis=-1) - np.log(sgn * x).sum(axis=-1)
@@ -128,43 +107,11 @@ def _orderk_transform(x, sk, k, tau):
     return y, logdet
 
 
-def apply_orderk(x, sk, k, tau):
-    """Closed-form sparse higher-order update with exact per-sample log-det."""
-    if k < 2:
-        raise ValueError(f"apply_orderk needs k >= 2, got {k}")
-    return _orderk_transform(x, sk, k, tau)
-
-
-def invert_orderk(x, sk, k, tau):
-    """Inverse closed form: the power chain reversed (duration negated)."""
-    if k < 2:
-        raise ValueError(f"invert_orderk needs k >= 2, got {k}")
-    return _orderk_transform(x, sk, k, -tau)
-
-
-# ---------------------------------------------------------------------------
-# step dispatch
-
-
-def apply_step(step: OperatorStep, x):
-    if step.order == 0:
-        return apply_order0(x, step.coeff, step.tau)
-    if step.order == 1:
-        return apply_order1(x, step.coeff, step.tau, form=step.form)
-    return apply_orderk(x, step.coeff, step.order, step.tau)
-
-
 def invert_step(step: OperatorStep, x):
-    """Exact inverse of ``apply_step`` with the same realized coefficient.
-
-    The returned log-det is the inverse map's own log-det, i.e. the negated
-    forward contribution.
-    """
-    if step.order == 0:
-        return invert_order0(x, step.coeff, step.tau)
-    if step.order == 1:
-        return invert_order1(x, step.coeff, step.tau, form=step.form)
-    return invert_orderk(x, step.coeff, step.order, step.tau)
+    """Exact inverse of ``apply_step`` with the same realized coefficient:
+    the forward closed form at -tau.  The returned log-det is the inverse
+    map's own, i.e. the negated forward contribution."""
+    return apply_step(replace(step, tau=-step.tau), x)
 
 
 # ---------------------------------------------------------------------------

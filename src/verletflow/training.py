@@ -11,7 +11,7 @@ is involved.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class TrainConfig:
     steps: int = 20  # integration steps during training
     seed: int = 0
     hidden_sizes: tuple = (64, 64, 64)
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -47,8 +46,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not self.hidden_sizes:
             raise ValueError("hidden_sizes must be nonempty")
-        if self.optimizer != "adam":
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -132,19 +129,17 @@ class Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def train(target, cfg: TrainConfig, flow: VerletFlow = None, order=1,
-          k1_form="diagonal", callback=None):
+def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
     """Adam loop over nll_batch; deterministic given cfg.seed.
 
-    ``target`` is a Gmm over q-space.  A fresh order-``order`` flow with
+    ``target`` is a Gmm over q-space.  A fresh order-1 flow with
     d_q = d_p = target.dim is created unless one is passed in.  On numeric
     divergence the loop aborts and the report keeps the last good params.
     """
     start = time.perf_counter()
     if flow is None:
         flow = VerletFlow.create(
-            target.dim, target.dim, order, hidden=cfg.hidden_sizes,
-            seed=cfg.seed, k1_form=k1_form,
+            target.dim, target.dim, 1, hidden=cfg.hidden_sizes, seed=cfg.seed
         )
     if flow.k1_form != DIAGONAL:
         raise UnsupportedModeError(

@@ -37,14 +37,13 @@ def test_roundtrip_suite_catches_broken_inverse(monkeypatch):
 
     real = integ.verlet_integrate
 
-    def biased(flow, state, cfg, tape_params=None):
-        res = real(flow, state, cfg, tape_params)
+    def biased(flow, state, cfg, record=None):
+        res = real(flow, state, cfg, record)
         if cfg.t1 < cfg.t0:  # perturb only the reverse leg
             return integ.IntegrationResult(
                 state=res.state.with_(q=res.state.q + 1e-4),
                 dlogp=res.dlogp,
                 wall_time=res.wall_time,
-                step_count=res.step_count,
                 field_evaluations=res.field_evaluations,
             )
         return res

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from verletflow.densities import (
-    AugmentedDensity,
     Gmm,
     UnnormalizedDensity,
     default_trimodal,
@@ -130,16 +129,6 @@ def test_standard_normal_helper(rng):
     sn = standard_normal(3)
     x = rng.standard_normal((5, 3))
     assert np.allclose(sn.log_density(x), standard_normal_logpdf(x), atol=1e-12)
-
-
-def test_augmented_density_factorizes(rng):
-    aug = AugmentedDensity(default_trimodal(), d_p=3)
-    q = rng.standard_normal((4, 2))
-    p = rng.standard_normal((4, 3))
-    expected = aug.q_density.log_density(q) + standard_normal_logpdf(p)
-    assert np.allclose(aug.log_density(q, p), expected, atol=0.0)
-    qs, ps = aug.sample(10, seed=1)
-    assert qs.shape == (10, 2) and ps.shape == (10, 3)
 
 
 def test_unnormalized_density_offset(rng):

@@ -10,7 +10,6 @@ from verletflow.densities import UnnormalizedDensity, standard_normal
 import verletflow.importance as importance
 from verletflow.importance import (
     SD_BATCHES,
-    draw_source,
     estimate_logZ,
     log_mean_exp,
     log_weights,
@@ -31,11 +30,11 @@ def test_log_mean_exp_matches_direct(rng):
 
 
 def test_draw_source_is_batch_independent():
-    q, p = draw_source(2, 3, 10, seed=4)
-    assert q.shape == (10, 2) and p.shape == (10, 3)
-    q2, p2 = draw_source(2, 3, 4, seed=4)
-    assert np.array_equal(q[:4], q2)
-    assert np.array_equal(p[:4], p2)
+    x = importance.source_rows(4, 0, 10, 5)
+    assert x.shape == (10, 5)
+    assert np.array_equal(x[:4], importance.source_rows(4, 0, 4, 5))
+    # a row depends on (seed, index) only, not on where its range starts
+    assert np.array_equal(x[3:7], importance.source_rows(4, 3, 7, 5))
 
 
 def test_identity_flow_weights_are_exact(identity_flow, normal_target):

@@ -17,13 +17,23 @@ from verletflow.checks import fd_logdet
 from verletflow.operators import OperatorStep, SingularityError, UnsupportedModeError
 
 
+def fwd(order, x, s, tau, form="diagonal"):
+    """``apply_step`` of a q-side step."""
+    return ops.apply_step(OperatorStep("q", order, tau, s, form), x)
+
+
+def inv(order, x, s, tau, form="diagonal"):
+    """``invert_step`` of a q-side step."""
+    return ops.invert_step(OperatorStep("q", order, tau, s, form), x)
+
+
 # -- order 0: translation ---------------------------------------------------
 
 
 def test_order0_value_and_logdet():
     x = np.array([1.0, -2.0])
     s = np.array([3.0, 0.5])
-    y, logdet = ops.apply_order0(x, s, tau=0.1)
+    y, logdet = fwd(0, x, s, 0.1)
     assert np.array_equal(y, np.array([1.3, -1.95]))
     assert logdet == 0.0
 
@@ -31,8 +41,8 @@ def test_order0_value_and_logdet():
 def test_order0_inverse_exact(rng):
     x = rng.standard_normal(4)
     s = rng.standard_normal(4)
-    y, _ = ops.apply_order0(x, s, 0.37)
-    back, logdet = ops.invert_order0(y, s, 0.37)
+    y, _ = fwd(0, x, s, 0.37)
+    back, logdet = inv(0, y, s, 0.37)
     assert np.array_equal(back, y - 0.37 * s)
     assert np.allclose(back, x, atol=1e-15)
     assert logdet == 0.0
@@ -44,7 +54,7 @@ def test_order0_inverse_exact(rng):
 def test_order1_diagonal_value_and_logdet():
     x = np.array([2.0, -1.0])
     s = np.array([np.log(2.0), 0.0])
-    y, logdet = ops.apply_order1(x, s, tau=1.0)
+    y, logdet = fwd(1, x, s, 1.0)
     assert np.allclose(y, [4.0, -1.0], atol=1e-14)
     # log-det = tau * sum(s): log 2
     assert np.isclose(logdet, np.log(2.0), atol=1e-14)
@@ -53,8 +63,8 @@ def test_order1_diagonal_value_and_logdet():
 def test_order1_diagonal_inverse_roundtrip(rng):
     x = rng.standard_normal(5)
     s = rng.standard_normal(5)
-    y, ld_f = ops.apply_order1(x, s, 0.42)
-    back, ld_b = ops.invert_order1(y, s, 0.42)
+    y, ld_f = fwd(1, x, s, 0.42)
+    back, ld_b = inv(1, y, s, 0.42)
     assert np.allclose(back, x, atol=1e-13)
     assert np.isclose(ld_f + ld_b, 0.0, atol=1e-13)
 
@@ -63,7 +73,7 @@ def test_order1_dense_matches_scipy_expm(rng):
     d = 3
     mat = rng.standard_normal((d, d)) * 0.8
     x = rng.standard_normal(d)
-    y, logdet = ops.apply_order1(x, mat.ravel(), tau=0.7, form="dense")
+    y, logdet = fwd(1, x, mat.ravel(), 0.7, "dense")
     y_ref = scipy.linalg.expm(0.7 * mat) @ x
     assert np.allclose(y, y_ref, atol=1e-12)
     assert np.isclose(logdet, 0.7 * np.trace(mat), atol=1e-13)
@@ -73,8 +83,8 @@ def test_order1_dense_batch_and_inverse(rng):
     d, n = 2, 4
     mat = rng.standard_normal((n, d * d)) * 0.5
     x = rng.standard_normal((n, d))
-    y, ld = ops.apply_order1(x, mat, tau=0.3, form="dense")
-    back, ld_b = ops.invert_order1(y, mat, 0.3, form="dense")
+    y, ld = fwd(1, x, mat, 0.3, "dense")
+    back, ld_b = inv(1, y, mat, 0.3, "dense")
     assert np.allclose(back, x, atol=1e-12)
     assert np.allclose(ld + ld_b, 0.0, atol=1e-13)
     assert ld.shape == (n,)
@@ -95,11 +105,11 @@ def test_order1_dense_rejects_tape(rng):
 def test_order2_worked_example():
     # x=1, s=1, tau=0.5: x' = (1 + 0.5*(-1)*1)^(-1) = 2;
     # log-det = 2*(log 2 - log 1) = 2 log 2; dy/dx = (y/x)^2 = 4.
-    y, logdet = ops.apply_orderk(np.array([1.0]), np.array([1.0]), 2, 0.5)
+    y, logdet = fwd(2, np.array([1.0]), np.array([1.0]), 0.5)
     assert np.allclose(y, [2.0], atol=1e-14)
     assert np.isclose(logdet, 2 * np.log(2.0), atol=1e-14)
     fd = fd_logdet(
-        lambda v: ops.apply_orderk(v, np.array([1.0]), 2, 0.5)[0], np.array([1.0])
+        lambda v: fwd(2, v, np.array([1.0]), 0.5)[0], np.array([1.0])
     )
     assert np.isclose(fd, np.log(4.0), atol=1e-8)
 
@@ -107,7 +117,7 @@ def test_order2_worked_example():
 def test_order3_worked_example():
     # x=1, s=0.4, tau=0.9875: base = 1 - 2*0.9875*0.4 = 0.21,
     # x' = 0.21^(-1/2).
-    y, _ = ops.apply_orderk(np.array([1.0]), np.array([0.4]), 3, 0.9875)
+    y, _ = fwd(3, np.array([1.0]), np.array([0.4]), 0.9875)
     assert np.isclose(y[0], 0.21 ** (-0.5), atol=1e-14)
 
 
@@ -120,7 +130,7 @@ def test_orderk_tabulated_logdet_identity(rng):
             x *= rng.choice([-1.0, 1.0], size=6)
         s = rng.uniform(-0.3, 0.3, size=6)
         tau = 0.3
-        y, logdet = ops.apply_orderk(x, s, k, tau)
+        y, logdet = fwd(k, x, s, tau)
         base = x ** (1 - k) + tau * (1 - k) * s
         tabulated = (k / (1 - k)) * np.log(np.abs(base)).sum() - k * np.log(
             np.abs(x)
@@ -139,13 +149,13 @@ def test_orderk_matches_fd_jacobian(k, rng):
         s_max = (1.0 / 1.5) ** (k - 1) / (0.4 * (k - 1)) * 0.8
         s = rng.uniform(-s_max, s_max, size=4)
         tau = rng.uniform(0.05, 0.4)
-        y, logdet = ops.apply_orderk(x, s, k, tau)
-        fd = fd_logdet(lambda v: ops.apply_orderk(v, s, k, tau)[0], x)
+        y, logdet = fwd(k, x, s, tau)
+        fd = fd_logdet(lambda v: fwd(k, v, s, tau)[0], x)
         assert abs(float(logdet) - fd) < 1e-6
         # per-component derivative closed form dy/dx = (y/x)^k
         h = 1e-6
-        yp, _ = ops.apply_orderk(x + h, s, k, tau)
-        ym, _ = ops.apply_orderk(x - h, s, k, tau)
+        yp, _ = fwd(k, x + h, s, tau)
+        ym, _ = fwd(k, x - h, s, tau)
         assert np.allclose((yp - ym) / (2 * h), (y / x) ** k, rtol=1e-4)
 
 
@@ -156,8 +166,8 @@ def test_orderk_inverse_roundtrip(k, rng):
         if k % 2 == 1:
             x *= rng.choice([-1.0, 1.0], size=5)
         s = rng.uniform(-0.2, 0.2, size=5)
-        y, ld_f = ops.apply_orderk(x, s, k, 0.25)
-        back, ld_b = ops.invert_orderk(y, s, k, 0.25)
+        y, ld_f = fwd(k, x, s, 0.25)
+        back, ld_b = inv(k, y, s, 0.25)
         assert np.allclose(back, x, atol=1e-12)
         assert np.isclose(float(ld_f) + float(ld_b), 0.0, atol=1e-12)
 
@@ -165,7 +175,7 @@ def test_orderk_inverse_roundtrip(k, rng):
 def test_orderk_odd_preserves_sign():
     x = np.array([-1.0, 1.0])
     s = np.array([0.2, 0.2])
-    y, _ = ops.apply_orderk(x, s, 3, 0.5)
+    y, _ = fwd(3, x, s, 0.5)
     assert np.sign(y[0]) == -1 and np.sign(y[1]) == 1
     assert np.isclose(abs(y[0]), y[1], atol=1e-14)
 
@@ -174,48 +184,34 @@ def test_orderk_even_negative_input():
     # k=2 with x<0: base = 1/x < 0 must stay negative through the step
     x = np.array([-1.0])
     s = np.array([0.3])
-    y, logdet = ops.apply_orderk(x, s, 2, 0.5)
+    y, logdet = fwd(2, x, s, 0.5)
     # x' = 1/(1/x - tau*s) = 1/(-1.15)
     assert np.isclose(y[0], 1.0 / (-1.15), atol=1e-14)
-    fd = fd_logdet(lambda v: ops.apply_orderk(v, s, 2, 0.5)[0], x)
+    fd = fd_logdet(lambda v: fwd(2, v, s, 0.5)[0], x)
     assert np.isclose(float(logdet), fd, atol=1e-7)
 
 
 def test_orderk_rejects_zero_coordinate():
     with pytest.raises(SingularityError) as exc:
-        ops.apply_orderk(np.array([1.0, 0.0]), np.array([0.1, 0.1]), 2, 0.1)
+        fwd(2, np.array([1.0, 0.0]), np.array([0.1, 0.1]), 0.1)
     assert exc.value.component == 1
 
 
 def test_orderk_rejects_base_sign_flip():
     # x=1, s=1, k=2, tau=1.5: base = 1 - 1.5 < 0 flips sign -> singular
     with pytest.raises(SingularityError):
-        ops.apply_orderk(np.array([1.0]), np.array([1.0]), 2, 1.5)
+        fwd(2, np.array([1.0]), np.array([1.0]), 1.5)
 
 
 def test_orderk_rejects_small_k():
+    # orders 0 and 1 have their own closed forms; a negative order has none
     with pytest.raises(ValueError):
-        ops.apply_orderk(np.array([1.0]), np.array([1.0]), 1, 0.1)
+        fwd(-1, np.array([1.0]), np.array([1.0]), 0.1)
     with pytest.raises(ValueError):
-        ops.invert_orderk(np.array([1.0]), np.array([1.0]), 0, 0.1)
+        inv(-2, np.array([1.0]), np.array([1.0]), 0.1)
 
 
-# -- dispatch and taped paths ------------------------------------------------
-
-
-def test_apply_step_dispatch_matches_direct(rng):
-    x = rng.uniform(0.5, 1.5, size=3)
-    for order, fn in (
-        (0, ops.apply_order0),
-        (1, ops.apply_order1),
-        (2, lambda x, c, t: ops.apply_orderk(x, c, 2, t)),
-    ):
-        c = rng.uniform(-0.3, 0.3, size=3)
-        step = OperatorStep("q", order, 0.2, c)
-        y1, l1 = ops.apply_step(step, x)
-        y2, l2 = fn(x, c, 0.2)
-        assert np.array_equal(y1, y2)
-        assert np.array_equal(np.asarray(l1), np.asarray(l2))
+# -- steps and their VJPs ------------------------------------------------
 
 
 def test_invert_step_negates_forward_logdet(rng):

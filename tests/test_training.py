@@ -28,8 +28,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(hidden_sizes=())
     with pytest.raises(ValueError):
-        TrainConfig(optimizer="sgd")
-    with pytest.raises(ValueError):
         TrainConfig(steps=0)
 
 
@@ -45,7 +43,8 @@ def test_train_rejects_dense_k1_before_first_epoch(monkeypatch):
 
     monkeypatch.setattr(tr, "nll_batch", counted)
     with pytest.raises(UnsupportedModeError):
-        tr.train(default_trimodal(), tiny_cfg(), k1_form="dense")
+        tr.train(default_trimodal(), tiny_cfg(),
+                 flow=VerletFlow.create(2, 2, 1, hidden=[4], k1_form="dense"))
     assert calls == []
 
 
