@@ -17,7 +17,6 @@ import numpy as np
 from . import checks, svg
 from .importance import SD_BATCHES, estimate_logZ, push_blocks
 from .integrators import METHODS, IntegrationError, IntegratorConfig
-from .operators import UnsupportedModeError
 from .persist import CheckpointError, Config, ConfigError, load_checkpoint, save_checkpoint
 from .training import train
 
@@ -53,11 +52,13 @@ def cmd_train(args):
         config.train.seed = args.seed
     target = config.build_target()
     flow = config.build_flow()
-    try:
-        flow, report = train(target.base, config.train, flow=flow)
-    except UnsupportedModeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    flow, report = train(target.base, config.train, flow=flow)
+    epochs, skipped = config.train.epochs, report.skipped_batches
+    if epochs and not report.nll_per_epoch:
+        then = ", then diverged" if report.diverged else ""
+        print(f"numeric failure: trained 0 of {epochs} epochs; "
+              f"{skipped} batches skipped{then}", file=sys.stderr)
+        return EXIT_NUMERIC
     # created only once training was accepted: a rejected run leaves nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -70,9 +71,10 @@ def cmd_train(args):
     if report.diverged:
         print("training diverged; kept last good checkpoint", file=sys.stderr)
         return EXIT_NUMERIC
+    note = f" ({skipped} of {epochs} batches skipped)" if skipped else ""
     print(
-        f"trained {len(report.nll_per_epoch)} epochs in {report.wall_time:.1f}s; "
-        f"checkpoint at {out / 'checkpoint.txt'}"
+        f"trained {len(report.nll_per_epoch)} epochs in {report.wall_time:.1f}s"
+        f"{note}; checkpoint at {out / 'checkpoint.txt'}"
     )
     return EXIT_OK
 

@@ -54,6 +54,10 @@ class Gmm:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
         self.variances = np.asarray(self.variances, dtype=np.float64)
+        # NaN fails every comparison below, so finiteness is checked first
+        if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means,
+                                                     self.variances)):
+            raise ValueError("mixture weights, means and variances must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {self.weights.sum()}, not 1")
         if np.any(self.variances <= 0):

@@ -28,10 +28,6 @@ class SingularityError(RuntimeError):
         self.component = component
 
 
-class UnsupportedModeError(RuntimeError):
-    """Dense k=1 steps are inference-only."""
-
-
 @dataclass
 class OperatorStep:
     """One realized split update: side, order, duration and coefficient."""
@@ -54,7 +50,7 @@ def apply_step(step: OperatorStep, x):
     * order 0 translates, ``x + tau*s``, and preserves volume;
     * order 1 scales, ``exp(tau*s) x`` with log-det ``tr(tau*s)``: elementwise
       in the diagonal form, a true matrix exponential (``scipy.linalg.expm``)
-      in the inference-only dense form;
+      in the dense form;
     * order k >= 2 solves dx/dt = s * x^k componentwise (below).
     """
     tau, k = step.tau, step.order
@@ -66,7 +62,7 @@ def apply_step(step: OperatorStep, x):
         if step.form == "dense":
             mats = s.reshape(s.shape[:-1] + (x.shape[-1],) * 2)
             # imported here: scipy.linalg adds ~80 ms to the package import,
-            # and only the inference-only dense form needs it
+            # and only the dense form needs it
             from scipy.linalg import expm
 
             y = np.einsum("...ij,...j->...i", expm(tau * mats), x)
@@ -132,8 +128,22 @@ def step_vjp(step: OperatorStep, x, y, gy, gl):
         # y = x + tau*s, logdet = 0
         return gy, tau * gy
     if k == 1:
-        if step.form != "diagonal":
-            raise UnsupportedModeError("dense k=1 steps are inference-only")
+        if step.form == "dense":
+            # y = E x with E = expm(A), A = tau*M: g_x = E^T gy and
+            # g_M = tau*(L(A^T, gy x^T) + gl*I), L expm's Frechet derivative;
+            # expm([[A^T, gy x^T], [0, A^T]]) = [[E^T, L], [0, E^T]] gives both
+            from scipy.linalg import expm
+
+            d = x.shape[-1]
+            blk = np.zeros(gy.shape[:-1] + (2 * d, 2 * d))
+            blk[..., :d, :d] = blk[..., d:, d:] = tau * np.swapaxes(
+                step.coeff.reshape(gy.shape + (d,)), -1, -2
+            )
+            blk[..., :d, d:] = gy[..., :, None] * x[..., None, :]
+            blk = expm(blk)
+            g_m = tau * (blk[..., :d, d:] + gl[..., None] * np.eye(d))
+            gx = np.einsum("...ij,...j->...i", blk[..., :d, :d], gy)
+            return gx, g_m.reshape(step.coeff.shape)
         # y = exp(tau*s) x, logdet = tau*sum(s)
         return gy * np.exp(tau * step.coeff), tau * (gy * y + gl)
     # y^(1-k) = x^(1-k) + tau*(1-k)*s and logdet = k*sum(log|y| - log|x|);

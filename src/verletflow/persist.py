@@ -34,6 +34,14 @@ def _integer(value, name):
     return value
 
 
+def _section(value, name):
+    """A config section: a JSON object, so a list, scalar or null section
+    is an error rather than a crash on its first lookup."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 @dataclass
 class EvalConfig:
     steps: int = 100
@@ -84,7 +92,8 @@ class Config:
     def from_dict(cls, data):
         try:
             cfg = cls()
-            dims = data.get("dims", {})
+            data = _section(data, "config")
+            dims = _section(data.get("dims", {}), "dims")
             cfg.d_q = _integer(dims.get("d_q", cfg.d_q), "d_q")
             cfg.d_p = _integer(dims.get("d_p", cfg.d_p), "d_p")
             cfg.order = _integer(data.get("order", cfg.order), "order")
@@ -93,8 +102,8 @@ class Config:
             if any(h < 1 for h in cfg.hidden_sizes):
                 raise ConfigError(f"hidden sizes must be >= 1, got {list(hidden)}")
             cfg.k1_form = data.get("k1_form", cfg.k1_form)
-            cfg.target = data.get("target", cfg.target)
-            tr = data.get("train", {})
+            cfg.target = _section(data.get("target", cfg.target), "target")
+            tr = _section(data.get("train", {}), "train")
             cfg.train = TrainConfig(
                 epochs=_integer(tr.get("epochs", 200), "train.epochs"),
                 batch_size=_integer(tr.get("batch_size", 256), "train.batch_size"),
@@ -103,7 +112,7 @@ class Config:
                 seed=_integer(tr.get("seed", 0), "train.seed"),
                 hidden_sizes=cfg.hidden_sizes,
             )
-            ev = data.get("eval", {})
+            ev = _section(data.get("eval", {}), "eval")
             cfg.eval = EvalConfig(
                 steps=_integer(ev.get("steps", 100), "eval.steps"),
                 method=ev.get("method", "taylor-verlet"),
@@ -142,6 +151,8 @@ class Config:
         spec = self.target
         kind = spec.get("type", "trimodal")
         logz = float(spec.get("logZ_true", np.log(2.0)))
+        if not np.isfinite(logz):
+            raise ConfigError(f"logZ_true must be finite, got {logz}")
         if kind == "trimodal":
             base = default_trimodal(variance=float(spec.get("variance", 0.3)))
         elif kind == "normal":

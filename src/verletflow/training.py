@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import standard_normal_logpdf
-from .flow import DIAGONAL, PhaseState, VerletFlow
+from .flow import PhaseState, VerletFlow
 from .integrators import (
     TAYLOR_VERLET,
     DivergenceError,
@@ -25,7 +25,6 @@ from .integrators import (
     verlet_integrate,
     verlet_vjp,
 )
-from .operators import UnsupportedModeError
 
 
 @dataclass
@@ -140,10 +139,6 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
     if flow is None:
         flow = VerletFlow.create(
             target.dim, target.dim, 1, hidden=cfg.hidden_sizes, seed=cfg.seed
-        )
-    if flow.k1_form != DIAGONAL:
-        raise UnsupportedModeError(
-            f"k1_form {flow.k1_form!r} is inference-only; training needs {DIAGONAL!r}"
         )
     opt = Adam(flow.num_params, cfg.learning_rate)
     nlls = []

@@ -300,6 +300,20 @@ def test_criterion_8_gradient_suite(fd_grad):
         grade(f"step_vjp k={order} coeff", g_c,
               fd_grad(lambda cc: step_objective(x, cc), c))
 
+    # the dense k=1 step, y = expm(tau*M) x with log-det tau*tr(M)
+    x, m = rng.standard_normal((4, 3)), rng.standard_normal((4, 9))
+    wy, wl = rng.standard_normal((4, 3)), rng.standard_normal(4)
+
+    def dense_objective(xx, mm):
+        y, logdet = ops.apply_step(ops.OperatorStep("q", 1, 0.3, mm, DENSE), xx)
+        return float((wy * y).sum() + (wl * logdet).sum())
+
+    step = ops.OperatorStep("q", 1, 0.3, m, DENSE)
+    g_x, g_m = ops.step_vjp(step, x, ops.apply_step(step, x)[0], wy, wl)
+    grade("step_vjp k=1 dense x", g_x, fd_grad(lambda xx: dense_objective(xx, m), x))
+    grade("step_vjp k=1 dense coeff", g_m,
+          fd_grad(lambda mm: dense_objective(x, mm), m))
+
     for form, width in ((DIAGONAL, 3), (DENSE, 9)):
         x = rng.standard_normal((4, 3))
         c = rng.standard_normal((4, width))

@@ -69,16 +69,64 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config", [{"train": {"steps": 0}}, {"k1_form": "dense", "hidden_sizes": [4]}],
-    ids=["zero-steps", "dense-k1"],
+    "config",
+    [{"train": {"steps": 0}}, [1, 2], {"target": "trimodal"}, {"dims": [2, 2]},
+     {"train": 5}, {"eval": None},
+     {"target": {"type": "trimodal", "variance": float("inf")}},
+     {"target": {"type": "gmm", "weights": [1.0], "means": [[0.0, float("nan")]],
+                 "variances": [1.0]}},
+     {"target": {"type": "trimodal", "logZ_true": float("nan")}}],
+    ids=["zero-steps", "list-config", "string-target", "list-dims", "scalar-train",
+         "null-eval", "inf-variance", "nan-mean", "nan-logz"],
 )
 def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config))  # writes NaN and Infinity as JSON allows
     assert main(["train", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "o").exists()  # a rejected run leaves no directory
+
+
+def test_train_dense_k1_trains_and_logz_reads_it(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"k1_form": "dense", "hidden_sizes": [4],
+                                "train": {"epochs": 2, "batch_size": 16, "steps": 2}}))
+    assert main(["train", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "trained 2 epochs" in capsys.readouterr().out
+    assert len(read_csv(tmp_path / "o" / "nll.csv")) == 3
+    checkpoint = str(tmp_path / "o" / "checkpoint.txt")
+    assert load_checkpoint(checkpoint).k1_form == "dense"
+    assert main(["logz", checkpoint, "--samples", "20", "--steps", "3"]) == 0
+    assert "logZ[taylor-verlet]" in capsys.readouterr().out
+
+
+def test_train_that_trains_nothing_is_numeric_error(tmp_path, capsys):
+    # every order-3 batch at the default init hits a base that crosses zero
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"order": 3, "train": {"epochs": 5}}))
+    assert main(["train", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "trained 0 of 5 epochs; 5 batches skipped" in err
+    assert not (tmp_path / "o").exists()  # no checkpoint, no nll.csv
+
+
+def test_train_names_the_skipped_share(tiny_config, tmp_path, capsys, monkeypatch):
+    import verletflow.training as tr
+    from verletflow.integrators import IntegrationError
+
+    real, calls = tr.nll_batch, []
+
+    def skip_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise IntegrationError("step 0: singular")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "nll_batch", skip_second)
+    assert main(["train", str(tiny_config), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "trained 2 epochs" in out and "(1 of 3 batches skipped)" in out
 
 
 @pytest.mark.parametrize(
@@ -170,7 +218,7 @@ def test_logz_method_flag(trained_dir, capsys):
 
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
 def test_logz_rk4_on_dense_k1_checkpoint(tmp_path, capsys, method):
-    # dense k=1 is inference-only, and the rk4 baselines are inference
+    # the rk4 baselines trace the dense k=1 field as well as the diagonal one
     flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=1, k1_form="dense")
     save_checkpoint(tmp_path / "dense.txt", flow)
     rc = main(["logz", str(tmp_path / "dense.txt"), "--samples", "20",
@@ -509,6 +557,24 @@ def test_cli_import_loads_no_scipy(fresh_python):
     # scipy is needed only by dense k=1 steps, which import it lazily
     out = fresh_python(
         "import sys, verletflow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_diagonal_training_step_loads_no_scipy(fresh_python):
+    # the dense step and its VJP import scipy; a diagonal batch and its
+    # gradient must not
+    out = fresh_python(
+        "import sys, numpy as np\n"
+        "from verletflow import VerletFlow\n"
+        "from verletflow.densities import default_trimodal\n"
+        "from verletflow.training import TrainConfig, nll_batch\n"
+        "cfg = TrainConfig(batch_size=16, steps=2, hidden_sizes=(4,))\n"
+        "flow = VerletFlow.create(2, 2, 1, hidden=[4])\n"
+        "q = default_trimodal().sample(16, seed=0)\n"
+        "_, rec = nll_batch(flow, q, cfg, np.random.default_rng(0), record=True)\n"
+        "assert np.any(rec.grad_flat() != 0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert out.strip() == "[]"

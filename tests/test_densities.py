@@ -123,6 +123,12 @@ def test_gmm_validation():
         Gmm(np.array([1.0]), np.zeros((1, 1)), np.array([-1.0]))
     with pytest.raises(ValueError):
         Gmm(np.array([1.0]), np.zeros((2, 1)), np.array([1.0, 1.0]))
+    # NaN fails every comparison, so it would pass the checks above
+    for bad in ({"weights": [np.nan]}, {"means": [[0.0, np.nan]]},
+                {"variances": [np.inf]}, {"variances": [np.nan]}):
+        spec = {"weights": [1.0], "means": [[0.0, 0.0]], "variances": [1.0], **bad}
+        with pytest.raises(ValueError, match="finite"):
+            Gmm(**{k: np.array(v) for k, v in spec.items()})
 
 
 def test_standard_normal_helper(rng):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verletflow.integrators as integ
-from verletflow.flow import DENSE, PhaseState, VerletFlow
+from verletflow.flow import DENSE, DIAGONAL, PhaseState, VerletFlow
 from verletflow.integrators import (
     IntegrationError,
     IntegratorConfig,
@@ -169,13 +169,18 @@ def test_workspace_run_matches_recorded_bits(order, rows, t0, t1):
     assert np.array_equal(plain.dlogp, recorded.dlogp)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "order,form",
+    [(0, DIAGONAL), (1, DIAGONAL), (2, DIAGONAL), (3, DIAGONAL), (1, DENSE)],
+    ids=["0", "1", "2", "3", "1-dense"],
+)
 @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)], ids=["fwd", "rev"])
-def test_verlet_vjp_matches_fd(order, t0, t1, rng, fd_grad):
+def test_verlet_vjp_matches_fd(order, form, t0, t1, rng, fd_grad):
     """Parameter and start-state gradients of <wq, q1> + <wp, p1> +
-    <wl, dlogp> through a recorded run, in both directions, against finite
-    differences."""
-    flow = VerletFlow.create(2, 2, order=order, hidden=[5], seed=20 + order)
+    <wl, dlogp> through a recorded run, in both directions and for the
+    dense k=1 form, against finite differences."""
+    flow = VerletFlow.create(2, 2, order=order, hidden=[5], seed=20 + order,
+                             k1_form=form)
     for c in flow.q_nets[2:] + flow.p_nets[2:]:
         c.net.weights[-1] *= 0.05
     cfg = IntegratorConfig(t0=t0, t1=t1, steps=3)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import verletflow.operators as ops
 from verletflow.checks import fd_logdet
-from verletflow.operators import OperatorStep, SingularityError, UnsupportedModeError
+from verletflow.operators import OperatorStep, SingularityError
 
 
 def fwd(order, x, s, tau, form="diagonal"):
@@ -88,15 +88,6 @@ def test_order1_dense_batch_and_inverse(rng):
     assert np.allclose(back, x, atol=1e-12)
     assert np.allclose(ld + ld_b, 0.0, atol=1e-13)
     assert ld.shape == (n,)
-
-
-def test_order1_dense_rejects_tape(rng):
-    # dense k=1 is inference-only: it has no VJP to record for training
-    x = rng.standard_normal(2)
-    step = OperatorStep("q", 1, 0.1, rng.standard_normal(4), form="dense")
-    y, _ = ops.apply_step(step, x)
-    with pytest.raises(UnsupportedModeError):
-        ops.step_vjp(step, x, y, np.ones(2), 0.0)
 
 
 # -- sparse higher orders ----------------------------------------------------
@@ -255,31 +246,34 @@ def test_taped_step_matches_plain_and_grads(order, rng, fd_grad):
     dim=st.integers(1, 4),
     rows=st.sampled_from([None, 1, 3]),
     sign=st.sampled_from([1.0, -1.0]),
+    dense=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_vjp_matches_fd(order, dim, rows, sign, seed, fd_grad):
-    """(gx, gc) of <wy, y> + <wl, logdet> for every order, both signs of
-    tau, dims 1-4, vector and batch shapes."""
+def test_step_vjp_matches_fd(order, dim, rows, sign, dense, seed, fd_grad):
+    """(gx, gc) of <wy, y> + <wl, logdet> for every order and the dense
+    k=1 form, both signs of tau, dims 1-4, vector and batch shapes."""
     rng = np.random.default_rng(seed)
     shape = (dim,) if rows is None else (rows, dim)
+    form = "dense" if dense and order == 1 else "diagonal"
+    c_shape = shape[:-1] + (dim * dim,) if form == "dense" else shape
     tau = sign * rng.uniform(0.05, 0.4)
     x = rng.uniform(0.5, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
     # keep |tau*(k-1)*s| below half the smallest |x|^(1-k): no base crosses 0
     s_max = 0.5 * (1.0 / 1.5) ** max(order - 1, 0) / (0.4 * max(order - 1, 1))
-    c = rng.uniform(-s_max, s_max, size=shape)
+    c = rng.uniform(-s_max, s_max, size=c_shape)
     wy = rng.standard_normal(shape)
     wl = rng.standard_normal(shape[:-1])
-    step = OperatorStep("q", order, tau, c)
+    step = OperatorStep("q", order, tau, c, form)
 
     def objective(xx, cc):
-        y, logdet = ops.apply_step(OperatorStep("q", order, tau, cc), xx)
+        y, logdet = ops.apply_step(OperatorStep("q", order, tau, cc, form), xx)
         return float((wy * y).sum() + (wl * logdet).sum())
 
     y, _ = ops.apply_step(step, x)
     gx, gc = ops.step_vjp(step, x, y, wy, wl)
     fd_x = fd_grad(lambda xx: objective(xx, c), x)
     fd_c = fd_grad(lambda cc: objective(x, cc), c)
-    assert gx.shape == shape and np.shape(gc) == shape
+    assert gx.shape == shape and np.shape(gc) == c_shape
     assert np.allclose(gx, fd_x, rtol=1e-6, atol=1e-7)
     assert np.allclose(gc, fd_c, rtol=1e-6, atol=1e-7)
 

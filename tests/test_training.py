@@ -10,7 +10,6 @@ import pytest
 
 from verletflow import VerletFlow
 from verletflow.densities import default_trimodal, standard_normal
-from verletflow.operators import UnsupportedModeError
 from verletflow.training import Adam, TrainConfig, nll_batch, train
 
 
@@ -31,23 +30,6 @@ def test_config_validation():
         TrainConfig(steps=0)
 
 
-def test_train_rejects_dense_k1_before_first_epoch(monkeypatch):
-    import verletflow.training as tr
-
-    calls = []
-    real = tr.nll_batch
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(tr, "nll_batch", counted)
-    with pytest.raises(UnsupportedModeError):
-        tr.train(default_trimodal(), tiny_cfg(),
-                 flow=VerletFlow.create(2, 2, 1, hidden=[4], k1_form="dense"))
-    assert calls == []
-
-
 def test_taped_and_plain_losses_agree_exactly(rng):
     # the recorded run (TapedFlowParams) and the plain run share one code path
     flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=1)
@@ -58,10 +40,11 @@ def test_taped_and_plain_losses_agree_exactly(rng):
     assert loss == plain  # identical arithmetic, not just close
 
 
-def damped_flow(order, seed, hidden=(4,)):
+def damped_flow(order, seed, hidden=(4,), k1_form="diagonal"):
     """Random flow whose k >= 2 coefficients are scaled down so the
     higher-order closed forms stay clear of their singular set."""
-    flow = VerletFlow.create(2, 2, order=order, hidden=list(hidden), seed=seed)
+    flow = VerletFlow.create(2, 2, order=order, hidden=list(hidden), seed=seed,
+                             k1_form=k1_form)
     for c in flow.q_nets[2:] + flow.p_nets[2:]:
         c.net.weights[-1] *= 0.05
     return flow
@@ -91,9 +74,13 @@ def test_nll_gradient_matches_fd(rng):
     assert_nll_gradient_matches_fd(flow, tiny_cfg(steps=2), q, rng)
 
 
-@pytest.mark.parametrize("order", [0, 2, 3])
-def test_nll_gradient_matches_fd_other_orders(order, rng):
-    flow = damped_flow(order, seed=10 + order)
+@pytest.mark.parametrize(
+    "order,form",
+    [(0, "diagonal"), (2, "diagonal"), (3, "diagonal"), (1, "dense")],
+    ids=["0", "2", "3", "1-dense"],
+)
+def test_nll_gradient_matches_fd_other_orders(order, form, rng):
+    flow = damped_flow(order, seed=10 + order, k1_form=form)
     q = default_trimodal().sample(8, seed=1)
     assert_nll_gradient_matches_fd(flow, tiny_cfg(steps=2), q, rng)
 
