@@ -219,9 +219,8 @@ def cmd_sample(args):
     except CheckpointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = IntegratorConfig(
-        steps=args.steps or 100, seed=args.seed or 0, method="taylor-verlet"
-    )
+    cfg = IntegratorConfig(steps=args.steps or IntegratorConfig.steps,
+                           seed=args.seed or IntegratorConfig.seed)
     rng = np.random.default_rng(cfg.seed)
     q0 = rng.standard_normal((args.n, flow.d_q))
     p0 = rng.standard_normal((args.n, flow.d_p))

@@ -104,6 +104,8 @@ class VerletFlow:
     """An order-N bundle of coefficient nets defining the split vector field."""
 
     def __init__(self, d_q, d_p, order, q_nets, p_nets):
+        if order < 0:
+            raise OrderError(f"negative order {order}")
         if len(q_nets) != order + 1 or len(p_nets) != order + 1:
             raise ValueError("need exactly order+1 coefficient nets per side")
         for k, (cq, cp) in enumerate(zip(q_nets, p_nets)):
@@ -149,14 +151,6 @@ class VerletFlow:
     def nets(self, side):
         return self.q_nets if side == "q" else self.p_nets
 
-    def coefficient(self, side, k, state: PhaseState, acts=None):
-        """Realized coefficient value s_k^side(opposite, t); ``acts`` is
-        passed on to record the net's activations."""
-        if k > self.order:
-            raise OrderError(f"order {k} > flow order {self.order}")
-        opp = state.p if side == "q" else state.q
-        return self.nets(side)[k](opp, state.t, acts)
-
     def zero_(self):
         """Zero every coefficient net's output layer (identity flow)."""
         for c in self.q_nets + self.p_nets:
@@ -165,36 +159,28 @@ class VerletFlow:
 
     # -- field evaluation ---------------------------------------------------
 
-    def eval_term(self, side, k, state: PhaseState, record=None):
-        """One Taylor term: s_k applied k-fold to the same-side variable.
-
-        ``record``, if a list, receives ``(coeff, acts)``: the realized
-        coefficient and its net's layer inputs.
-        """
-        acts = None if record is None else []
-        coeff = self.coefficient(side, k, state, acts)
-        if record is not None:
-            record.append((coeff, acts))
-        x = state.q if side == "q" else state.p
-        return apply_coefficient(coeff, x, k, self.nets(side)[k].form)
-
     def eval_field(self, state: PhaseState, record=None):
-        """(dq/dt, dp/dt): the per-side sums over k = 0..order.
+        """(dq/dt, dp/dt): per side, the sum over k = 0..order of the
+        Taylor term s_k applied k-fold to the same-side variable.
 
-        ``record``, if a list, receives one ``eval_term`` record per
-        (side, k), q-side first and k ascending, for ``field_vjp``.
+        ``record``, if a list, receives ``(coeff, acts)`` per (side, k),
+        q-side first and k ascending: the realized coefficient and its
+        net's layer inputs, for ``field_vjp``.
         """
         out = []
-        for side in ("q", "p"):
-            total = self.eval_term(side, 0, state, record)
-            for k in range(1, self.order + 1):
-                total = total + self.eval_term(side, k, state, record)
+        for side, x, opp in (("q", state.q, state.p), ("p", state.p, state.q)):
+            terms = []
+            for c in self.nets(side):
+                acts = None if record is None else []
+                coeff = c(opp, state.t, acts)
+                if record is not None:
+                    record.append((coeff, acts))
+                terms.append(apply_coefficient(coeff, x, c.order, c.form))
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
             if not np.all(np.isfinite(total)):
-                bad = [
-                    k
-                    for k in range(self.order + 1)
-                    if not np.all(np.isfinite(self.eval_term(side, k, state)))
-                ]
+                bad = [k for k, y in enumerate(terms) if not np.all(np.isfinite(y))]
                 raise NumericError(f"non-finite {side}-field terms at orders {bad}")
             out.append(total)
         return tuple(out)

@@ -11,12 +11,13 @@ layer-major with weights (row-major) before biases.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .densities import Gmm, UnnormalizedDensity, default_trimodal, standard_normal
 from .flow import VerletFlow
+from .integrators import IntegratorConfig
 from .training import TrainConfig
 
 CHECKPOINT_MAGIC = "verletflow-v1"
@@ -34,21 +35,45 @@ def _integer(value, name):
     return value
 
 
-def _section(value, name):
-    """A config section: a JSON object, so a list, scalar or null section
-    is an error rather than a crash on its first lookup."""
+def _number(value, name):
+    """A config rate: a JSON number, so a bool or a numeric string is an
+    error rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _section(value, name, keys):
+    """A config section: a JSON object whose keys are all in ``keys``, so a
+    list, scalar or null section is an error rather than a crash on its
+    first lookup, and a misspelt key is an error rather than ignored."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    if unknown := sorted(set(value) - set(keys)):
+        raise ConfigError(f"unknown {name} keys {unknown}; known: {sorted(keys)}")
     return value
+
+
+def _dataclass(cls, data, name, **fixed):
+    """``cls`` from config section ``data``: each field not ``fixed`` is a
+    key whose absence keeps the field's default; an int field takes a JSON
+    integer and a float field a JSON number."""
+    keys = [f for f in fields(cls) if f.name not in fixed]
+    data = _section(data, name, [f.name for f in keys])
+    for f in keys:
+        if f.name in data:
+            parse = {int: _integer, float: _number}.get(type(f.default), lambda v, _: v)
+            fixed[f.name] = parse(data[f.name], f"{name}.{f.name}")
+    return cls(**fixed)
 
 
 @dataclass
 class EvalConfig:
-    steps: int = 100
-    method: str = "taylor-verlet"
+    steps: int = IntegratorConfig.steps
+    method: str = IntegratorConfig.method
     samples: int = 100_000
-    seed: int = 0
-    hutchinson_probes: int = 1
+    seed: int = IntegratorConfig.seed
+    hutchinson_probes: int = IntegratorConfig.hutchinson_probes
 
 
 @dataclass
@@ -62,38 +87,13 @@ class Config:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
-    def to_dict(self):
-        return {
-            "dims": {"d_q": self.d_q, "d_p": self.d_p},
-            "order": self.order,
-            "hidden_sizes": list(self.hidden_sizes),
-            "k1_form": self.k1_form,
-            "target": self.target,
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "steps": self.train.steps,
-                "seed": self.train.seed,
-            },
-            "eval": {
-                "steps": self.eval.steps,
-                "method": self.eval.method,
-                "samples": self.eval.samples,
-                "seed": self.eval.seed,
-                "hutchinson_probes": self.eval.hutchinson_probes,
-            },
-        }
-
-    def serialize(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, data):
         try:
             cfg = cls()
-            data = _section(data, "config")
-            dims = _section(data.get("dims", {}), "dims")
+            data = _section(data, "config", ("dims", "order", "hidden_sizes",
+                                             "k1_form", "target", "train", "eval"))
+            dims = _section(data.get("dims", {}), "dims", ("d_q", "d_p"))
             cfg.d_q = _integer(dims.get("d_q", cfg.d_q), "d_q")
             cfg.d_p = _integer(dims.get("d_p", cfg.d_p), "d_p")
             cfg.order = _integer(data.get("order", cfg.order), "order")
@@ -102,26 +102,11 @@ class Config:
             if any(h < 1 for h in cfg.hidden_sizes):
                 raise ConfigError(f"hidden sizes must be >= 1, got {list(hidden)}")
             cfg.k1_form = data.get("k1_form", cfg.k1_form)
-            cfg.target = _section(data.get("target", cfg.target), "target")
-            tr = _section(data.get("train", {}), "train")
-            cfg.train = TrainConfig(
-                epochs=_integer(tr.get("epochs", 200), "train.epochs"),
-                batch_size=_integer(tr.get("batch_size", 256), "train.batch_size"),
-                learning_rate=float(tr.get("learning_rate", 1e-3)),
-                steps=_integer(tr.get("steps", 20), "train.steps"),
-                seed=_integer(tr.get("seed", 0), "train.seed"),
-                hidden_sizes=cfg.hidden_sizes,
-            )
-            ev = _section(data.get("eval", {}), "eval")
-            cfg.eval = EvalConfig(
-                steps=_integer(ev.get("steps", 100), "eval.steps"),
-                method=ev.get("method", "taylor-verlet"),
-                samples=_integer(ev.get("samples", 100_000), "eval.samples"),
-                seed=_integer(ev.get("seed", 0), "eval.seed"),
-                hutchinson_probes=_integer(
-                    ev.get("hutchinson_probes", 1), "eval.hutchinson_probes"
-                ),
-            )
+            cfg.target = _section(data.get("target", cfg.target), "target", (
+                "type", "logZ_true", "variance", "weights", "means", "variances"))
+            cfg.train = _dataclass(TrainConfig, data.get("train", {}), "train",
+                                   hidden_sizes=cfg.hidden_sizes)
+            cfg.eval = _dataclass(EvalConfig, data.get("eval", {}), "eval")
             if cfg.k1_form not in ("diagonal", "dense"):
                 raise ConfigError(f"bad k1_form {cfg.k1_form!r}")
             if cfg.d_q < 1 or cfg.d_p < 1 or cfg.order < 0:
@@ -141,10 +126,6 @@ class Config:
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
         return cls.from_dict(data)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.serialize())
 
     def build_target(self):
         """The unnormalized target density described by the target spec."""

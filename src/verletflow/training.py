@@ -41,8 +41,8 @@ class TrainConfig:
             raise ValueError("config values must be positive")
         if self.steps < 1:
             raise ValueError("train steps must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not self.hidden_sizes:
             raise ValueError("hidden_sizes must be nonempty")
 
@@ -144,7 +144,6 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
     nlls = []
     skipped = 0
     diverged = False
-    last_good = flow.get_params()
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng((cfg.seed, epoch))
         q_batch = target.sample(cfg.batch_size, seed=(cfg.seed, epoch, 1))
@@ -152,14 +151,12 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
             nll, recorded = nll_batch(flow, q_batch, cfg, rng, record=True)
         except DivergenceError:
             diverged = True
-            flow.set_params(last_good)
             break
         except IntegrationError:
             skipped += 1
             continue
         if not np.isfinite(nll):
             diverged = True
-            flow.set_params(last_good)
             break
         grad = recorded.grad_flat()
         # the sweep freed the record; nothing else of this batch may
@@ -170,7 +167,6 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
             diverged = True
             break
         flow.set_params(new_params)
-        last_good = flow.get_params()
         nlls.append(nll)
         if callback is not None:
             callback(epoch, nll)

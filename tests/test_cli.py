@@ -14,20 +14,17 @@ import verletflow.cli as cli
 from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrate
 from verletflow.cli import main
 from verletflow.densities import standard_normal_logpdf
-from verletflow.persist import Config, load_checkpoint, save_checkpoint
+from verletflow.persist import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
 def tiny_config(tmp_path):
-    cfg = Config.from_dict(
-        {
-            "hidden_sizes": [4],
-            "train": {"epochs": 3, "batch_size": 16, "steps": 2, "seed": 0},
-            "eval": {"steps": 5, "samples": 200, "seed": 1},
-        }
-    )
     path = tmp_path / "config.json"
-    cfg.save(path)
+    path.write_text(json.dumps({
+        "hidden_sizes": [4],
+        "train": {"epochs": 3, "batch_size": 16, "steps": 2, "seed": 0},
+        "eval": {"steps": 5, "samples": 200, "seed": 1},
+    }))
     return path
 
 
@@ -75,9 +72,10 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
      {"target": {"type": "trimodal", "variance": float("inf")}},
      {"target": {"type": "gmm", "weights": [1.0], "means": [[0.0, float("nan")]],
                  "variances": [1.0]}},
-     {"target": {"type": "trimodal", "logZ_true": float("nan")}}],
+     {"target": {"type": "trimodal", "logZ_true": float("nan")}},
+     {"hidden_sizes": [4], "train": {"epoch": 2, "batch_size": 16, "steps": 2}}],
     ids=["zero-steps", "list-config", "string-target", "list-dims", "scalar-train",
-         "null-eval", "inf-variance", "nan-mean", "nan-logz"],
+         "null-eval", "inf-variance", "nan-mean", "nan-logz", "typo-key"],
 )
 def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -147,17 +145,14 @@ def test_train_missing_config_is_usage_error(tmp_path):
 
 
 def test_train_divergence_is_numeric_error(tmp_path, capsys):
-    cfg = Config.from_dict(
-        {
-            "hidden_sizes": [4],
-            "train": {
-                "epochs": 8, "batch_size": 16, "steps": 2, "seed": 0,
-                "learning_rate": 1e4,  # guaranteed blow-up
-            },
-        }
-    )
     path = tmp_path / "diverge.json"
-    cfg.save(path)
+    path.write_text(json.dumps({
+        "hidden_sizes": [4],
+        "train": {
+            "epochs": 8, "batch_size": 16, "steps": 2, "seed": 0,
+            "learning_rate": 1e4,  # guaranteed blow-up
+        },
+    }))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rc = main(["train", str(path), "--out", str(tmp_path / "out")])
@@ -285,6 +280,18 @@ def test_logz_bad_parameter_lines_are_usage_errors(trained_dir, capsys, edit):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "bad checkpoint" in captured.err
     assert "Warning" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["logz", "sample"])
+def test_negative_order_checkpoint_is_usage_error(tmp_path, capsys, command):
+    # order -1 would load as a flow with no nets and transform nothing
+    path = tmp_path / "ck.txt"
+    path.write_text("verletflow-v1\norder=-1\nd_q=2\nd_p=2\nhidden=4\n\n")
+    out = tmp_path / "out.csv"
+    assert main([command, str(path), "--steps", "2", "--csv", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "negative order" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_logz_single_sample_is_usage_error(trained_dir, capsys):

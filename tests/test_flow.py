@@ -96,12 +96,6 @@ def test_mismatched_nets_rejected():
         VerletFlow(3, 2, 1, flow.q_nets, flow.p_nets)  # wrong dims
 
 
-def test_coefficient_order_bound(small_flow):
-    state = PhaseState(q=[0.1, 0.2], p=[0.3, 0.4], t=0.0)
-    with pytest.raises(OrderError):
-        small_flow.coefficient("q", 5, state)
-
-
 # -- field evaluation --------------------------------------------------------
 
 
@@ -109,8 +103,10 @@ def test_eval_field_is_sum_of_terms(rng):
     flow = VerletFlow.create(2, 2, order=2, hidden=[8], seed=3)
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.4)
     fq, fp = flow.eval_field(state)
-    sq = sum(flow.eval_term("q", k, state) for k in range(3))
-    sp = sum(flow.eval_term("p", k, state) for k in range(3))
+    sq = sum(apply_coefficient(flow.nets("q")[k](state.p, state.t), state.q, k)
+             for k in range(3))
+    sp = sum(apply_coefficient(flow.nets("p")[k](state.q, state.t), state.p, k)
+             for k in range(3))
     assert np.allclose(fq, sq, atol=0.0)
     assert np.allclose(fp, sp, atol=0.0)
 
@@ -204,10 +200,10 @@ def test_param_roundtrip_preserves_field(rng):
     other = VerletFlow.create(2, 2, order=1, hidden=[8], seed=99)
     other.set_params(flow.get_params())
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.5)
-    for side in ("q", "p"):
+    for side, opp in (("q", state.p), ("p", state.q)):
         for k in (0, 1):
             assert np.array_equal(
-                flow.coefficient(side, k, state), other.coefficient(side, k, state)
+                flow.nets(side)[k](opp, state.t), other.nets(side)[k](opp, state.t)
             )
 
 

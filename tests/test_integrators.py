@@ -343,9 +343,9 @@ def test_exact_trace_matches_closed_form(order, d_q, d_p, rows, dense, seed):
     tr M for a dense k=1 coefficient."""
     flow, state, record, _ = _random_field(order, d_q, d_p, rows, dense, seed)
     want = np.zeros(state.q.shape[:-1])
-    for side, x in (("q", state.q), ("p", state.p)):
+    for side, x, opp in (("q", state.q, state.p), ("p", state.p, state.q)):
         for k in range(1, order + 1):
-            s = flow.coefficient(side, k, state)
+            s = flow.nets(side)[k](opp, state.t)
             if k == 1 and dense:
                 d = x.shape[-1]
                 want = want + np.trace(s.reshape(s.shape[:-1] + (d, d)),

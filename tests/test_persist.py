@@ -13,9 +13,11 @@ from verletflow.persist import (
     CheckpointError,
     Config,
     ConfigError,
+    EvalConfig,
     load_checkpoint,
     save_checkpoint,
 )
+from verletflow.training import TrainConfig
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -105,6 +107,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
     truncated.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(CheckpointError):
         load_checkpoint(truncated)
+    # order -1 asks for no nets at all: not a flow, whatever the body holds
+    negative = tmp_path / "negative.txt"
+    negative.write_text(f"{CHECKPOINT_MAGIC}\norder=-1\nd_q=2\nd_p=2\nhidden=4\n\n")
+    with pytest.raises(CheckpointError, match="negative order"):
+        load_checkpoint(negative)
 
 
 def test_checkpoint_rejects_undecodable_bytes(tmp_path):
@@ -125,13 +132,17 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
         load_checkpoint(path)
 
 
-def test_config_defaults_and_roundtrip(tmp_path):
-    cfg = Config()
-    path = tmp_path / "cfg.json"
-    cfg.save(path)
-    loaded = Config.load(path)
-    assert loaded.to_dict() == cfg.to_dict()
-    assert json.loads(path.read_text())["dims"] == {"d_q": 2, "d_p": 2}
+def test_config_defaults_and_every_key_read_back():
+    assert Config.from_dict({}) == Config()
+    train = {"epochs": 7, "batch_size": 9, "learning_rate": 0.5, "steps": 3, "seed": 4}
+    ev = {"steps": 11, "method": "rk4-exact", "samples": 50, "seed": 2,
+          "hutchinson_probes": 3}
+    cfg = Config.from_dict({
+        "dims": {"d_q": 3, "d_p": 1}, "order": 2, "hidden_sizes": [5],
+        "k1_form": "dense", "target": {"type": "normal"}, "train": train, "eval": ev,
+    })
+    assert cfg == Config(3, 1, 2, (5,), "dense", {"type": "normal"},
+                         TrainConfig(hidden_sizes=(5,), **train), EvalConfig(**ev))
 
 
 def test_config_from_partial_dict():
@@ -180,6 +191,26 @@ def test_config_validation_errors(tmp_path):
 def test_config_counts_must_be_integers(data):
     with pytest.raises(ConfigError):
         Config.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"hidden": [4]}, {"dims": {"dq": 2}}, {"train": {"epoch": 2}},
+     {"train": {"hidden_sizes": [4]}}, {"eval": {"sample": 10}},
+     {"target": {"type": "trimodal", "varaince": 0.2}}],
+    ids=["hidden", "dims.dq", "train.epoch", "train.hidden_sizes", "eval.sample",
+         "target.varaince"],
+)
+def test_config_unknown_key_is_error(data):
+    # a misspelt key would otherwise leave its default silently in place
+    with pytest.raises(ConfigError, match="unknown"):
+        Config.from_dict(data)
+
+
+@pytest.mark.parametrize("value", [True, "0.01"], ids=json.dumps)
+def test_config_learning_rate_must_be_a_number(value):
+    with pytest.raises(ConfigError, match="must be a number"):
+        Config.from_dict({"train": {"learning_rate": value}})
 
 
 def test_config_builds_targets(rng):

@@ -20,8 +20,9 @@ def tiny_cfg(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for rate in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
