@@ -13,7 +13,7 @@ from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrat
 rng = np.random.default_rng(0)
 
 # a random order-1 flow on 2+2 dims
-flow = VerletFlow.create(2, 2, order=1, hidden=[16], seed=3)
+flow = VerletFlow(2, 2, order=1, hidden=[16], seed=3)
 q0 = rng.standard_normal(2)
 p0 = rng.standard_normal(2)
 
@@ -29,7 +29,7 @@ print(f"reverse:  |q - q0| = {np.abs(back.state.q - q0).max():.2e}, "
 
 # analytic oracle: frozen-p linear flow
 s1 = np.array([0.6, -0.35])
-linear = VerletFlow.create(2, 2, order=1, hidden=[4], seed=0).zero_()
+linear = VerletFlow(2, 2, order=1, hidden=[4], seed=0).zero_()
 linear.q_nets[1].net.biases[-1][:] = s1
 
 print("\nfrozen-p linear flow vs closed form exp(s1)*q0:")

@@ -37,24 +37,70 @@ def workspace(nets, rows):
     return np.empty(rows * width), np.empty(rows * width)
 
 
-class Mlp:
+def param_count(layer_sizes):
+    """Number of parameters of an ``Mlp`` with these layer sizes."""
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def layer_views(flat, layer_sizes):
+    """Per-layer ``(W, b)`` views of the flat vector ``flat``.
+
+    The one statement of the parameter layout, which the nets, their
+    gradients, Adam and checkpoints share: layer after layer, the
+    ``(n_out, n_in)`` weight matrix row-major, then the bias.  ``flat`` must
+    hold exactly ``param_count(layer_sizes)`` values.
+    """
+    n = param_count(layer_sizes)
+    if flat.shape != (n,):
+        raise ValueError(f"expected {n} parameters, got shape {flat.shape}")
+    views, i = [], 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        j = i + n_out * n_in
+        views.append((flat[i:j].reshape(n_out, n_in), flat[j : j + n_out]))
+        i = j + n_out
+    return views
+
+
+class ParamVector:
+    """Parameters held in one flat float64 array, ``params``, that the
+    weights view; reading copies it and writing fills it in place."""
+
+    def get_params(self):
+        return self.params.copy()
+
+    def set_params(self, flat):
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self.params.shape:
+            raise ValueError(f"expected {self.params.size} parameters, got shape {flat.shape}")
+        self.params[:] = flat
+
+    @property
+    def num_params(self):
+        return self.params.size
+
+
+class Mlp(ParamVector):
     """Fully connected net: tanh hidden layers, affine output.
 
     Weights are drawn uniformly in [-1/sqrt(n_in), 1/sqrt(n_in)], biases
-    start at zero.
+    start at zero.  ``params``, if given, is the flat array the net draws
+    into and keeps (a coefficient net's slice of its flow's vector);
+    otherwise the net gets its own.
     """
 
-    def __init__(self, layer_sizes, seed=0):
+    def __init__(self, layer_sizes, seed=0, params=None):
         if len(layer_sizes) < 2 or any(n <= 0 for n in layer_sizes):
             raise ValueError(f"bad layer sizes {layer_sizes}")
         self.layer_sizes = list(layer_sizes)
+        self.params = np.empty(param_count(layer_sizes)) if params is None else params
+        layers = layer_views(self.params, self.layer_sizes)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
-        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(n_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-            self.biases.append(np.zeros(n_out))
+        for w, b in layers:
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[:] = rng.uniform(-bound, bound, size=w.shape)
+            b[:] = 0.0
 
     @property
     def in_dim(self):
@@ -104,17 +150,12 @@ class Mlp:
 
         ``acts`` are the layer inputs that call recorded and ``g`` is the
         cotangent of its output.  Parameter gradients are added into the
-        flat array ``grad`` (``get_params`` layout); the input cotangent is
+        flat array ``grad`` (``layer_views`` layout); the input cotangent is
         returned.  ``grad=None`` skips the parameter products, and then
         ``g`` may carry leading (seed) axes in front of the recorded shape.
         """
-        views = []
         if grad is not None:
-            i = 0
-            for w, b in zip(self.weights, self.biases):
-                views.append((grad[i : i + w.size].reshape(w.shape),
-                              grad[i + w.size : i + w.size + b.size]))
-                i += w.size + b.size
+            views = layer_views(grad, self.layer_sizes)
         for li in range(len(self.weights) - 1, -1, -1):
             a = acts[li]
             if grad is not None:
@@ -130,29 +171,6 @@ class Mlp:
     def forward(self, x):
         """Retired tape forward pass (see ``grad``)."""
         raise NotImplementedError("the closure tape is retired")
-
-    def get_params(self):
-        """Flatten parameters layer-major (W then b per layer), row-major."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def set_params(self, flat):
-        flat = np.asarray(flat, dtype=np.float64)
-        i = 0
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[li] = flat[i : i + w.size].reshape(w.shape).copy()
-            i += w.size
-            self.biases[li] = flat[i : i + b.size].reshape(b.shape).copy()
-            i += b.size
-        if i != flat.size:
-            raise ValueError(f"expected {i} parameters, got {flat.size}")
-
-    @property
-    def num_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def zero_(self):
         """Zero the output layer so the net is identically zero."""

@@ -114,7 +114,7 @@ def check_roundtrip(trials=20, seed=0, tol=1e-8, steps=25):
     rng = np.random.default_rng(seed)
     failures = []
     for trial in range(trials):
-        flow = VerletFlow.create(2, 2, order=1, hidden=[16], seed=(seed, trial))
+        flow = VerletFlow(2, 2, order=1, hidden=[16], seed=(seed, trial))
         q = rng.standard_normal(2)
         p = rng.standard_normal(2)
         fwd = verlet_integrate(

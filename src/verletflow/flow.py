@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Mlp
+from .autodiff import Mlp, ParamVector, param_count
 
 
 class OrderError(ValueError):
@@ -67,21 +67,15 @@ class CoefficientNet:
 
     Output form by order: k=0 vector, k=1 diagonal (default) or dense
     matrix, k>=2 the sparse on-diagonal tensor (a vector of per-component
-    coefficients).
+    coefficients).  ``span`` is where the net's parameters sit in its
+    flow's vector.
     """
 
     side: str  # "q" or "p"
     order: int
     net: Mlp
     form: str = DIAGONAL  # meaningful for order 1 only
-
-    def __post_init__(self):
-        if self.side not in ("q", "p"):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.order < 0:
-            raise OrderError(f"negative order {self.order}")
-        if self.order == 1 and self.form not in (DIAGONAL, DENSE):
-            raise ValueError(f"bad k=1 form {self.form!r}")
+    span: slice = None
 
     def __call__(self, opposite, t, acts=None, work=None):
         """Realize the coefficient at (opposite-variable, t); plain numpy.
@@ -100,53 +94,43 @@ class CoefficientNet:
         raise NotImplementedError("the closure tape is retired")
 
 
-class VerletFlow:
-    """An order-N bundle of coefficient nets defining the split vector field."""
+class VerletFlow(ParamVector):
+    """An order-N bundle of coefficient nets defining the split vector field.
 
-    def __init__(self, d_q, d_p, order, q_nets, p_nets):
+    All parameters live in one flat array, ``params``, in checkpoint order:
+    q-side nets k ascending, then p-side, each in the ``layer_views``
+    layout; every net's weights and biases are views into it.
+    """
+
+    def __init__(self, d_q, d_p, order, hidden=(64, 64, 64), seed=0, k1_form=DIAGONAL):
+        hidden = list(hidden)
         if order < 0:
             raise OrderError(f"negative order {order}")
-        if len(q_nets) != order + 1 or len(p_nets) != order + 1:
-            raise ValueError("need exactly order+1 coefficient nets per side")
-        for k, (cq, cp) in enumerate(zip(q_nets, p_nets)):
-            if cq.order != k or cp.order != k:
-                raise ValueError("coefficient net order mismatch")
-            for c, d_self, d_opp in ((cq, d_q, d_p), (cp, d_p, d_q)):
-                if c.net.in_dim != d_opp + 1:
-                    raise ValueError(f"net input dim {c.net.in_dim} != {d_opp}+1")
-                want = d_self * d_self if (k == 1 and c.form == DENSE) else d_self
-                if c.net.out_dim != want:
-                    raise ValueError(f"net output dim {c.net.out_dim} != {want}")
+        if k1_form not in (DIAGONAL, DENSE):
+            raise ValueError(f"bad k=1 form {k1_form!r}")
+        # a checkpoint header cannot name an empty hidden list
+        if not hidden or min([d_q, d_p] + hidden) < 1:
+            raise ValueError(f"dims and hidden sizes must be >= 1, got "
+                             f"d_q={d_q}, d_p={d_p}, hidden={hidden}")
         self.d_q = d_q
         self.d_p = d_p
         self.order = order
-        self.q_nets = list(q_nets)
-        self.p_nets = list(p_nets)
-
-    @classmethod
-    def create(cls, d_q, d_p, order, hidden=(64, 64, 64), seed=0, k1_form=DIAGONAL):
-        """Build a flow with freshly initialized coefficient nets."""
-        hidden = list(hidden)
-        nets = {"q": [], "p": []}
-        sub = 0
+        self.k1_form = k1_form if order >= 1 else DIAGONAL
+        self.hidden_sizes = hidden
+        layout, size = [], 0
         for side, d_self, d_opp in (("q", d_q, d_p), ("p", d_p, d_q)):
             for k in range(order + 1):
-                out = d_self * d_self if (k == 1 and k1_form == DENSE) else d_self
-                mlp = Mlp([d_opp + 1] + hidden + [out], seed=(seed, sub))
-                form = k1_form if k == 1 else DIAGONAL
-                nets[side].append(CoefficientNet(side, k, mlp, form))
-                sub += 1
-        return cls(d_q, d_p, order, nets["q"], nets["p"])
-
-    @property
-    def k1_form(self):
-        if self.order >= 1:
-            return self.q_nets[1].form
-        return DIAGONAL
-
-    @property
-    def hidden_sizes(self):
-        return self.q_nets[0].net.layer_sizes[1:-1]
+                form = self.k1_form if k == 1 else DIAGONAL
+                sizes = [d_opp + 1] + hidden + [d_self * d_self if form == DENSE else d_self]
+                span = slice(size, size + param_count(sizes))
+                layout.append((side, k, form, sizes, span))
+                size = span.stop
+        self.params = np.empty(size)
+        self.q_nets, self.p_nets = [], []
+        # each net draws its initial values straight into its span
+        for sub, (side, k, form, sizes, span) in enumerate(layout):
+            mlp = Mlp(sizes, seed=(seed, sub), params=self.params[span])
+            self.nets(side).append(CoefficientNet(side, k, mlp, form, span))
 
     def nets(self, side):
         return self.q_nets if side == "q" else self.p_nets
@@ -219,28 +203,6 @@ class VerletFlow:
     def eval_field_taped(self, q, p, t):
         """Retired tape placeholder (see ``autodiff.grad``)."""
         raise NotImplementedError("the closure tape is retired")
-
-    # -- parameter plumbing -------------------------------------------------
-
-    def _all_nets(self):
-        # canonical order: q-side k ascending, then p-side k ascending
-        return [c.net for c in self.q_nets] + [c.net for c in self.p_nets]
-
-    def get_params(self):
-        return np.concatenate([m.get_params() for m in self._all_nets()])
-
-    def set_params(self, flat):
-        flat = np.asarray(flat, dtype=np.float64)
-        i = 0
-        for m in self._all_nets():
-            m.set_params(flat[i : i + m.num_params])
-            i += m.num_params
-        if i != flat.size:
-            raise ValueError(f"expected {i} parameters, got {flat.size}")
-
-    @property
-    def num_params(self):
-        return sum(m.num_params for m in self._all_nets())
 
 
 def apply_coefficient(coeff, x, k, form=DIAGONAL):

@@ -17,7 +17,6 @@ explicit vector-Jacobian products, which is how training gets its gradient.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,6 @@ class IntegratorConfig:
 class IntegrationResult:
     state: PhaseState
     dlogp: object
-    wall_time: float
     # per trajectory: coefficient-net calls (Verlet) or field calls (RK4)
     field_evaluations: int
 
@@ -140,12 +138,11 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         raise ValueError(f"verlet_integrate got method {cfg.method!r}")
     if abs(state.t - cfg.t0) > 1e-12:
         raise ValueError(f"state.t={state.t} != cfg.t0={cfg.t0}")
-    start = time.perf_counter()
     tau = cfg.tau
     q, p, dlogp = state.q, state.p, state.dlogp
     work = None
     if record is None and q.ndim == 2:
-        work = workspace(flow._all_nets(), q.shape[0])
+        work = workspace([c.net for c in flow.q_nets + flow.p_nets], q.shape[0])
     for i in range(cfg.steps):
         # a reverse step (tau < 0) undoes the forward step of duration -tau
         # that ran at frozen time t0 + (i + 1) * tau
@@ -163,15 +160,14 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     return IntegrationResult(
         state=final,
         dlogp=dlogp,
-        wall_time=time.perf_counter() - start,
         field_evaluations=cfg.steps * 2 * (flow.order + 1),
     )
 
 
 def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
     """Reverse sweep of a recorded ``verlet_integrate`` run: returns
-    ``(grad, g_q0, g_p0)``, the gradient w.r.t. the flow parameters (in
-    ``flow.get_params`` order) and the cotangents of the start q and p.
+    ``(grad, g_q0, g_p0)``, the gradient w.r.t. the flow parameters (laid
+    out as ``flow.params``) and the cotangents of the start q and p.
 
     ``start`` is the state the run began from, ``record`` the ``Substep``
     list it filled, and ``g_q``, ``g_p``, ``g_dlogp`` the cotangents of the
@@ -182,12 +178,7 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
     before it.  dlogp subtracts every substep's log-det, so each log-det's
     cotangent is ``-g_dlogp``.
     """
-    grad = np.zeros(flow.num_params)
-    offsets, i = {}, 0
-    for side in ("q", "p"):
-        for k, coeff in enumerate(flow.nets(side)):
-            offsets[(side, k)] = i
-            i += coeff.net.num_params
+    grad = np.zeros_like(flow.params)
     g_logdet = -np.asarray(g_dlogp, dtype=np.float64)
     g = {"q": g_q, "p": g_p}
     while record:
@@ -198,9 +189,8 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
         x = before.q if side == "q" else before.p
         y = sub.q if side == "q" else sub.p
         g[side], g_coeff = ops.step_vjp(step, x, y, g[side], g_logdet)
-        net = flow.nets(side)[step.order].net
-        lo = offsets[(side, step.order)]
-        g_in = net.vjp(sub.acts, g_coeff, grad[lo : lo + net.num_params])
+        c = flow.nets(side)[step.order]
+        g_in = c.net.vjp(sub.acts, g_coeff, grad[c.span])
         # the last input column is the time feature
         g[opp] = g[opp] + g_in[..., :-1]
     return grad, g["q"], g["p"]
@@ -281,7 +271,6 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         raise ValueError(f"rk4_integrate got method {cfg.method!r}")
     if abs(state.t - cfg.t0) > 1e-12:
         raise ValueError(f"state.t={state.t} != cfg.t0={cfg.t0}")
-    start = time.perf_counter()
     tau = cfg.tau
     q = state.q.copy()
     p = state.p.copy()
@@ -327,7 +316,6 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     return IntegrationResult(
         state=final,
         dlogp=ell,
-        wall_time=time.perf_counter() - start,
         field_evaluations=4 * cfg.steps,
     )
 

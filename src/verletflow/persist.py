@@ -3,9 +3,9 @@
 Config files are JSON.  Checkpoints are a line-oriented text format:
 ``verletflow-v1`` on the first line, ``key=value`` header lines, a blank
 line, then one parameter per line printed with 17 significant digits so
-64-bit floats round-trip bit-exactly.  Parameter order is the flow's
-canonical order: q-side nets k ascending, then p-side, each net
-layer-major with weights (row-major) before biases.
+64-bit floats round-trip bit-exactly.  The body is ``VerletFlow.params`` as
+it stands: q-side nets k ascending, then p-side, each net in the layout of
+``autodiff.layer_views``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from .integrators import IntegratorConfig
 from .training import TrainConfig
 
 CHECKPOINT_MAGIC = "verletflow-v1"
+
+# the parameters each target type reads, besides "type" and "logZ_true"
+TARGET_KEYS = {
+    "trimodal": ("variance",), "normal": (), "gmm": ("weights", "means", "variances"),
+}
 
 
 class ConfigError(ValueError):
@@ -75,6 +80,11 @@ class EvalConfig:
     seed: int = IntegratorConfig.seed
     hutchinson_probes: int = IntegratorConfig.hutchinson_probes
 
+    def __post_init__(self):
+        # the integration rules are IntegratorConfig's own
+        IntegratorConfig(steps=self.steps, method=self.method, seed=self.seed,
+                         hutchinson_probes=self.hutchinson_probes)
+
 
 @dataclass
 class Config:
@@ -99,21 +109,16 @@ class Config:
             cfg.order = _integer(data.get("order", cfg.order), "order")
             hidden = data.get("hidden_sizes", cfg.hidden_sizes)
             cfg.hidden_sizes = tuple(_integer(h, "hidden_sizes") for h in hidden)
-            if any(h < 1 for h in cfg.hidden_sizes):
-                raise ConfigError(f"hidden sizes must be >= 1, got {list(hidden)}")
             cfg.k1_form = data.get("k1_form", cfg.k1_form)
-            cfg.target = _section(data.get("target", cfg.target), "target", (
-                "type", "logZ_true", "variance", "weights", "means", "variances"))
+            cfg.target = data.get("target", cfg.target)
             cfg.train = _dataclass(TrainConfig, data.get("train", {}), "train",
                                    hidden_sizes=cfg.hidden_sizes)
             cfg.eval = _dataclass(EvalConfig, data.get("eval", {}), "eval")
-            if cfg.k1_form not in ("diagonal", "dense"):
-                raise ConfigError(f"bad k1_form {cfg.k1_form!r}")
-            if cfg.d_q < 1 or cfg.d_p < 1 or cfg.order < 0:
-                raise ConfigError("dims must be >= 1 and order >= 0")
             if cfg.train.seed < 0 or cfg.eval.seed < 0:
                 raise ConfigError("train and eval seeds must be >= 0")
-            cfg.build_target()  # validate the target spec early
+            # validate the flow's shape and the target spec early
+            cfg.build_flow()
+            cfg.build_target()
             return cfg
         except (TypeError, KeyError, ValueError) as err:
             raise ConfigError(str(err)) from err
@@ -130,7 +135,12 @@ class Config:
     def build_target(self):
         """The unnormalized target density described by the target spec."""
         spec = self.target
+        if not isinstance(spec, dict):
+            raise ConfigError(f"target must be a JSON object, got {spec!r}")
         kind = spec.get("type", "trimodal")
+        if kind not in TARGET_KEYS:
+            raise ConfigError(f"unknown target type {kind!r}")
+        _section(spec, f"{kind} target", ("type", "logZ_true") + TARGET_KEYS[kind])
         logz = float(spec.get("logZ_true", np.log(2.0)))
         if not np.isfinite(logz):
             raise ConfigError(f"logZ_true must be finite, got {logz}")
@@ -138,20 +148,18 @@ class Config:
             base = default_trimodal(variance=float(spec.get("variance", 0.3)))
         elif kind == "normal":
             base = standard_normal(self.d_q)
-        elif kind == "gmm":
+        else:
             base = Gmm(
                 weights=np.asarray(spec["weights"], dtype=np.float64),
                 means=np.asarray(spec["means"], dtype=np.float64),
                 variances=np.asarray(spec["variances"], dtype=np.float64),
             )
-        else:
-            raise ConfigError(f"unknown target type {kind!r}")
         if base.dim != self.d_q:
             raise ConfigError(f"target dim {base.dim} != d_q {self.d_q}")
         return UnnormalizedDensity(base, logZ_true=logz)
 
     def build_flow(self, seed=None):
-        return VerletFlow.create(
+        return VerletFlow(
             self.d_q, self.d_p, self.order, hidden=self.hidden_sizes,
             seed=self.train.seed if seed is None else seed,
             k1_form=self.k1_form,
@@ -191,7 +199,7 @@ def load_checkpoint(path):
             while line := fh.readline().rstrip("\n"):  # to the blank line or EOF
                 key, _, value = line.partition("=")
                 header[key] = value
-            flow = VerletFlow.create(
+            flow = VerletFlow(
                 int(header["d_q"]),
                 int(header["d_p"]),
                 int(header["order"]),

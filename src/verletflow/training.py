@@ -51,7 +51,6 @@ class TrainConfig:
 class TrainReport:
     nll_per_epoch: list
     wall_time: float
-    params: np.ndarray
     skipped_batches: int = 0
     diverged: bool = False
 
@@ -68,8 +67,8 @@ class TapedFlowParams:
         self.final = final
 
     def grad_flat(self):
-        """Loss gradient w.r.t. every flow parameter, in checkpoint order
-        (q-side k ascending, then p-side; per net layer-major, W before b).
+        """Loss gradient w.r.t. every flow parameter, laid out as
+        ``flow.params``.
 
         The sweep consumes the record, so the gradient is taken once.
         """
@@ -133,13 +132,11 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
 
     ``target`` is a Gmm over q-space.  A fresh order-1 flow with
     d_q = d_p = target.dim is created unless one is passed in.  On numeric
-    divergence the loop aborts and the report keeps the last good params.
+    divergence the loop aborts and the flow keeps the last good params.
     """
     start = time.perf_counter()
     if flow is None:
-        flow = VerletFlow.create(
-            target.dim, target.dim, 1, hidden=cfg.hidden_sizes, seed=cfg.seed
-        )
+        flow = VerletFlow(target.dim, target.dim, 1, hidden=cfg.hidden_sizes, seed=cfg.seed)
     opt = Adam(flow.num_params, cfg.learning_rate)
     nlls = []
     skipped = 0
@@ -162,7 +159,7 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
         # the sweep freed the record; nothing else of this batch may
         # outlive the epoch either
         del recorded
-        new_params = opt.step(flow.get_params(), grad)
+        new_params = opt.step(flow.params, grad)
         if not np.all(np.isfinite(new_params)):
             diverged = True
             break
@@ -173,7 +170,6 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
     return flow, TrainReport(
         nll_per_epoch=nlls,
         wall_time=time.perf_counter() - start,
-        params=flow.get_params(),
         skipped_batches=skipped,
         diverged=diverged,
     )

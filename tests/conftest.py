@@ -53,13 +53,13 @@ def rng():
 @pytest.fixture
 def small_flow():
     """A random order-1 flow on 2+2 dims with small nets."""
-    return VerletFlow.create(2, 2, order=1, hidden=[8], seed=7)
+    return VerletFlow(2, 2, order=1, hidden=[8], seed=7)
 
 
 @pytest.fixture
 def identity_flow():
     """A flow whose field is identically zero (output layers zeroed)."""
-    return VerletFlow.create(2, 2, order=1, hidden=[8], seed=7).zero_()
+    return VerletFlow(2, 2, order=1, hidden=[8], seed=7).zero_()
 
 
 @pytest.fixture

@@ -134,7 +134,7 @@ def test_criterion_1_operator_exactness():
 
 def test_criterion_2_integrator_exact_likelihood():
     rng = np.random.default_rng(102)
-    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=12)
+    flow = VerletFlow(2, 2, order=1, hidden=[8], seed=12)
     q0 = rng.standard_normal(2)
     p0 = rng.standard_normal(2)
     cfg = IntegratorConfig(steps=100)
@@ -167,7 +167,7 @@ def test_criterion_2_integrator_exact_likelihood():
 def test_criterion_3_analytic_linear_flow():
     rng = np.random.default_rng(103)
     s1 = np.array([0.6, -0.35])
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=0).zero_()
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=0).zero_()
     flow.q_nets[1].net.biases[-1][:] = s1
     worst = 0.0
     for steps in (1, 10, 100):
@@ -332,7 +332,7 @@ def test_criterion_8_gradient_suite(fd_grad):
     worst_prim = errs[worst_name]
 
     # end-to-end: nll_batch gradient on a small flow
-    flow = VerletFlow.create(2, 2, order=1, hidden=[6], seed=3)
+    flow = VerletFlow(2, 2, order=1, hidden=[6], seed=3)
     cfg = TrainConfig(epochs=1, batch_size=8, steps=3, seed=0, hidden_sizes=(6,))
     q = default_trimodal().sample(8, seed=4)
     _, params = nll_batch(flow, q, cfg, np.random.default_rng(5), record=True)

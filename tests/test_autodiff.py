@@ -135,6 +135,10 @@ def test_mlp_biases_start_zero():
     mlp = Mlp([3, 4, 2], seed=0)
     for b in mlp.biases:
         assert np.array_equal(b, np.zeros_like(b))
+    # a net built on a given buffer overwrites all of it and keeps it
+    buf = np.full(mlp.num_params, np.nan)
+    into = Mlp([3, 4, 2], seed=0, params=buf)
+    assert into.params is buf and np.array_equal(buf, mlp.params)
 
 
 def test_mlp_rejects_bad_sizes():

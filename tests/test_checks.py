@@ -43,7 +43,6 @@ def test_roundtrip_suite_catches_broken_inverse(monkeypatch):
             return integ.IntegrationResult(
                 state=res.state.with_(q=res.state.q + 1e-4),
                 dlogp=res.dlogp,
-                wall_time=res.wall_time,
                 field_evaluations=res.field_evaluations,
             )
         return res

@@ -73,9 +73,12 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
      {"target": {"type": "gmm", "weights": [1.0], "means": [[0.0, float("nan")]],
                  "variances": [1.0]}},
      {"target": {"type": "trimodal", "logZ_true": float("nan")}},
-     {"hidden_sizes": [4], "train": {"epoch": 2, "batch_size": 16, "steps": 2}}],
+     {"hidden_sizes": [4], "train": {"epoch": 2, "batch_size": 16, "steps": 2}},
+     {"eval": {"method": "rk5"}}, {"eval": {"steps": 0}},
+     {"eval": {"hutchinson_probes": 0}}, {"target": {"type": "normal", "variance": 5}}],
     ids=["zero-steps", "list-config", "string-target", "list-dims", "scalar-train",
-         "null-eval", "inf-variance", "nan-mean", "nan-logz", "typo-key"],
+         "null-eval", "inf-variance", "nan-mean", "nan-logz", "typo-key",
+         "eval-method", "eval-zero-steps", "eval-zero-probes", "normal-variance"],
 )
 def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -214,7 +217,7 @@ def test_logz_method_flag(trained_dir, capsys):
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
 def test_logz_rk4_on_dense_k1_checkpoint(tmp_path, capsys, method):
     # the rk4 baselines trace the dense k=1 field as well as the diagonal one
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=1, k1_form="dense")
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=1, k1_form="dense")
     save_checkpoint(tmp_path / "dense.txt", flow)
     rc = main(["logz", str(tmp_path / "dense.txt"), "--samples", "20",
                "--steps", "3", "--method", method])
@@ -235,7 +238,7 @@ def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods
     # order-3 flow whose q^2 and q^3 terms overflow in every rk4 trajectory
     # and in 12 of the 16 taylor-verlet ones: fewer than SD_BATCHES valid
     # weights leave no sd to report, so a partial failure exits 3 as well
-    flow = VerletFlow.create(2, 2, order=3, hidden=[2], seed=0).zero_()
+    flow = VerletFlow(2, 2, order=3, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 1e3
     flow.q_nets[3].net.biases[-1][:] = 1e3
     save_checkpoint(tmp_path / "o3.txt", flow)
@@ -578,7 +581,7 @@ def test_diagonal_training_step_loads_no_scipy(fresh_python):
         "from verletflow.densities import default_trimodal\n"
         "from verletflow.training import TrainConfig, nll_batch\n"
         "cfg = TrainConfig(batch_size=16, steps=2, hidden_sizes=(4,))\n"
-        "flow = VerletFlow.create(2, 2, 1, hidden=[4])\n"
+        "flow = VerletFlow(2, 2, 1, hidden=[4])\n"
         "q = default_trimodal().sample(16, seed=0)\n"
         "_, rec = nll_batch(flow, q, cfg, np.random.default_rng(0), record=True)\n"
         "assert np.any(rec.grad_flat() != 0)\n"

@@ -57,21 +57,11 @@ def test_coefficient_net_appends_time_feature(rng):
     assert not np.array_equal(out1, net(p, 0.75))  # time matters
 
 
-def test_coefficient_net_validation():
-    mlp = Mlp([3, 2], seed=0)
-    with pytest.raises(ValueError):
-        CoefficientNet("x", 0, mlp)
-    with pytest.raises(OrderError):
-        CoefficientNet("q", -1, mlp)
-    with pytest.raises(ValueError):
-        CoefficientNet("q", 1, mlp, form="banded")
-
-
 # -- flow construction -------------------------------------------------------
 
 
 def test_create_shapes_and_validation():
-    flow = VerletFlow.create(2, 3, order=2, hidden=[8], seed=0)
+    flow = VerletFlow(2, 3, order=2, hidden=[8], seed=0)
     assert flow.d_q == 2 and flow.d_p == 3 and flow.order == 2
     assert len(flow.q_nets) == 3 and len(flow.p_nets) == 3
     # q-side nets read p (+time); p-side nets read q (+time)
@@ -82,25 +72,28 @@ def test_create_shapes_and_validation():
 
 
 def test_create_dense_k1_output_size():
-    flow = VerletFlow.create(3, 2, order=1, hidden=[4], seed=0, k1_form=DENSE)
+    flow = VerletFlow(3, 2, order=1, hidden=[4], seed=0, k1_form=DENSE)
     assert flow.q_nets[1].net.out_dim == 9
     assert flow.p_nets[1].net.out_dim == 4
     assert flow.k1_form == DENSE
 
 
-def test_mismatched_nets_rejected():
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=0)
-    with pytest.raises(ValueError):
-        VerletFlow(2, 2, 1, flow.q_nets[:1], flow.p_nets)
-    with pytest.raises(ValueError):
-        VerletFlow(3, 2, 1, flow.q_nets, flow.p_nets)  # wrong dims
+def test_constructor_validates_shape():
+    # checkpoint headers and configs feed the shape straight in
+    with pytest.raises(OrderError):
+        VerletFlow(2, 2, order=-1)
+    with pytest.raises(ValueError, match="banded"):
+        VerletFlow(2, 2, order=1, k1_form="banded")
+    for d_q, d_p, hidden in ((0, 2, [4]), (2, 0, [4]), (2, 2, [4, 0]), (2, 2, [])):
+        with pytest.raises(ValueError, match=">= 1"):
+            VerletFlow(d_q, d_p, order=1, hidden=hidden)
 
 
 # -- field evaluation --------------------------------------------------------
 
 
 def test_eval_field_is_sum_of_terms(rng):
-    flow = VerletFlow.create(2, 2, order=2, hidden=[8], seed=3)
+    flow = VerletFlow(2, 2, order=2, hidden=[8], seed=3)
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.4)
     fq, fp = flow.eval_field(state)
     sq = sum(apply_coefficient(flow.nets("q")[k](state.p, state.t), state.q, k)
@@ -125,8 +118,8 @@ def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed, fd_grad):
     vector and batch shapes, diagonal and dense k=1."""
     rng = np.random.default_rng(seed)
     form = DENSE if dense else "diagonal"
-    flow = VerletFlow.create(d_q, d_p, order=order, hidden=[5],
-                             seed=seed % 997, k1_form=form)
+    flow = VerletFlow(d_q, d_p, order=order, hidden=[5],
+                      seed=seed % 997, k1_form=form)
     lead = () if rows is None else (rows,)
     state = PhaseState(q=rng.standard_normal(lead + (d_q,)),
                        p=rng.standard_normal(lead + (d_p,)), t=rng.uniform())
@@ -162,7 +155,7 @@ def test_zeroed_flow_field_vanishes(identity_flow, rng):
 
 
 def test_eval_field_reports_nonfinite_orders():
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=5)
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=5)
     flow.q_nets[1].net.biases[-1][:] = np.inf
 
     state = PhaseState(q=[0.1, 0.2], p=[0.3, 0.4], t=0.0)
@@ -196,8 +189,8 @@ def test_dense_oracle_matches_manual_k2(dense_contraction_oracle):
 
 
 def test_param_roundtrip_preserves_field(rng):
-    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=6)
-    other = VerletFlow.create(2, 2, order=1, hidden=[8], seed=99)
+    flow = VerletFlow(2, 2, order=1, hidden=[8], seed=6)
+    other = VerletFlow(2, 2, order=1, hidden=[8], seed=99)
     other.set_params(flow.get_params())
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.5)
     for side, opp in (("q", state.p), ("p", state.q)):
@@ -208,14 +201,51 @@ def test_param_roundtrip_preserves_field(rng):
 
 
 def test_param_canonical_order_q_before_p():
-    flow = VerletFlow.create(1, 1, order=0, hidden=[1], seed=0)
-    flat = flow.get_params()
-    nq = flow.q_nets[0].net.num_params
-    assert np.array_equal(flat[:nq], flow.q_nets[0].net.get_params())
-    assert np.array_equal(flat[nq:], flow.p_nets[0].net.get_params())
+    # q-side nets k ascending, then p-side; per layer W row-major, then b
+    flow = VerletFlow(1, 2, order=1, hidden=[3], seed=0)
+    nets = flow.q_nets + flow.p_nets
+    assert [(c.side, c.order) for c in nets] == [("q", 0), ("q", 1), ("p", 0), ("p", 1)]
+    parts = [a.ravel() for c in nets for w, b in zip(c.net.weights, c.net.biases)
+             for a in (w, b)]
+    assert np.array_equal(flow.params, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("form", ["diagonal", DENSE])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_nets_are_views_into_flow_params(order, form):
+    flow = VerletFlow(2, 3, order=order, hidden=[4, 3], seed=1, k1_form=form)
+    assert flow.num_params == flow.params.size
+    nets = flow.q_nets + flow.p_nets
+    assert nets[0].span.start == 0 and nets[-1].span.stop == flow.params.size
+    for c, after in zip(nets, nets[1:]):
+        assert c.span.stop == after.span.start
+    for c in nets:
+        assert np.shares_memory(c.net.params, flow.params[c.span])
+        for a in c.net.weights + c.net.biases:
+            assert np.shares_memory(a, flow.params[c.span])
+
+
+def test_set_params_is_seen_by_nets_and_get_params_copies(rng):
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=0)
+    new = rng.standard_normal(flow.num_params)
+    flow.set_params(new)
+    assert np.array_equal(flow.params, new) and not np.shares_memory(flow.params, new)
+    c = flow.p_nets[1]
+    assert np.array_equal(c.net.biases[-1], new[c.span][-c.net.out_dim:])
+    x = np.append([0.3, -0.2], 0.5)
+    w1, b1, w2, b2 = (new[c.span][i:j] for i, j in ((0, 12), (12, 16), (16, 24), (24, 26)))
+    expected = w2.reshape(2, 4) @ np.tanh(w1.reshape(4, 3) @ x + b1) + b2
+    assert np.allclose(c([0.3, -0.2], 0.5), expected, rtol=1e-13, atol=1e-15)
+    copy = flow.get_params()
+    copy[:] = 0.0
+    assert np.array_equal(flow.params, new)
 
 
 def test_set_params_size_mismatch():
-    flow = VerletFlow.create(2, 2, order=0, hidden=[4], seed=0)
-    with pytest.raises(ValueError):
-        flow.set_params(np.zeros(flow.num_params + 1))
+    flow = VerletFlow(2, 2, order=0, hidden=[4], seed=0)
+    before = flow.get_params()
+    # a single value must not broadcast over the vector
+    for bad in (np.zeros(flow.num_params + 1), np.zeros(1), 0.0):
+        with pytest.raises(ValueError):
+            flow.set_params(bad)
+    assert np.array_equal(flow.params, before)

@@ -57,7 +57,7 @@ def test_log_weights_worker_count_invariance(identity_flow, normal_target):
 def test_log_weights_byte_identical_across_workers(normal_target, n):
     # a random width-64 flow: chunks split at other than whole blocks
     # (e.g. 512-row halves) take a different BLAS kernel and change bits
-    flow = VerletFlow.create(2, 2, 1, hidden=(64, 64, 64), seed=0)
+    flow = VerletFlow(2, 2, 1, hidden=(64, 64, 64), seed=0)
     cfg = IntegratorConfig(steps=5, seed=0)
     ref = log_weights(flow, normal_target, n, cfg, workers=1)
     assert np.all(np.isfinite(ref))
@@ -107,7 +107,7 @@ def test_estimate_logz_converges_on_random_flow(small_flow):
 
 def test_invalid_weights_are_nan_and_counted(normal_target):
     # order-2 flow with a huge k=2 coefficient: most trajectories blow up
-    flow = VerletFlow.create(2, 2, order=2, hidden=[2], seed=0).zero_()
+    flow = VerletFlow(2, 2, order=2, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 200.0
     rep = estimate_logZ(
         flow, normal_target, 40, IntegratorConfig(steps=3, seed=0)
@@ -125,7 +125,7 @@ def test_invalid_weights_are_nan_and_counted(normal_target):
 def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
     # order-3 flow whose q^2 and q^3 terms overflow inside an RK4 stage:
     # the failing samples come back NaN instead of the estimate raising
-    flow = VerletFlow.create(2, 2, order=3, hidden=[2], seed=0).zero_()
+    flow = VerletFlow(2, 2, order=3, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 100.0
     flow.q_nets[3].net.biases[-1][:] = 100.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,7 +139,7 @@ def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
 def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
     # the same samples are invalid however the rows are blocked, and the
     # valid weights of a failing block match the block-free values
-    flow = VerletFlow.create(2, 2, order=2, hidden=[2], seed=0).zero_()
+    flow = VerletFlow(2, 2, order=2, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 200.0
     cfg = IntegratorConfig(steps=3, seed=0)
     ref = log_weights(flow, normal_target, 40, cfg)
@@ -165,7 +165,7 @@ def test_log_weights_speed_does_not_depend_on_heap_history(fresh_python):
         "from verletflow import IntegratorConfig, VerletFlow\n"
         "from verletflow.densities import UnnormalizedDensity, standard_normal\n"
         "from verletflow.importance import log_weights\n"
-        "flow = VerletFlow.create(2, 2, 1, seed=3)\n"
+        "flow = VerletFlow(2, 2, 1, seed=3)\n"
         "target = UnnormalizedDensity(standard_normal(2))\n"
         "cfg = IntegratorConfig(steps=10, seed=0)\n"
         "log_weights(flow, target, 2048, cfg)\n"

@@ -28,7 +28,7 @@ def linear_q_flow(s1):
     Built by zeroing every net and setting the q-side k=1 output bias, so
     the coefficient is constant in (p, t).
     """
-    flow = VerletFlow.create(len(s1), len(s1), order=1, hidden=[4], seed=0).zero_()
+    flow = VerletFlow(len(s1), len(s1), order=1, hidden=[4], seed=0).zero_()
     flow.q_nets[1].net.biases[-1][:] = np.asarray(s1, dtype=np.float64)
     return flow
 
@@ -126,7 +126,7 @@ def test_forward_reverse_roundtrip(small_flow, rng):
 
 
 def test_roundtrip_higher_order(rng):
-    flow = VerletFlow.create(2, 2, order=2, hidden=[6], seed=11)
+    flow = VerletFlow(2, 2, order=2, hidden=[6], seed=11)
     # scale down the k=2 coefficients so trajectories avoid the singular set
     for side in ("q", "p"):
         flow.nets(side)[2].net.weights[-1] *= 0.05
@@ -154,7 +154,7 @@ def test_workspace_run_matches_recorded_bits(order, rows, t0, t1):
     # an unrecorded batch run reuses one activation workspace; a recorded
     # run allocates every activation, so any aliasing would show as a bit
     # difference between the two
-    flow = VerletFlow.create(2, 3, order, hidden=[16, 8, 32], seed=order)
+    flow = VerletFlow(2, 3, order, hidden=[16, 8, 32], seed=order)
     for side in ("q", "p"):
         for c in flow.nets(side)[2:]:
             c.net.weights[-1] *= 0.05
@@ -179,8 +179,8 @@ def test_verlet_vjp_matches_fd(order, form, t0, t1, rng, fd_grad):
     """Parameter and start-state gradients of <wq, q1> + <wp, p1> +
     <wl, dlogp> through a recorded run, in both directions and for the
     dense k=1 form, against finite differences."""
-    flow = VerletFlow.create(2, 2, order=order, hidden=[5], seed=20 + order,
-                             k1_form=form)
+    flow = VerletFlow(2, 2, order=order, hidden=[5], seed=20 + order,
+                      k1_form=form)
     for c in flow.q_nets[2:] + flow.p_nets[2:]:
         c.net.weights[-1] *= 0.05
     cfg = IntegratorConfig(t0=t0, t1=t1, steps=3)
@@ -230,7 +230,7 @@ def test_composed_jacobian_logdet_matches_dlogp(order, d):
     blocks, which log det J cannot see, are checked too), and log det J must
     equal the log-det that the forward run accumulated, -dlogp."""
     rng = np.random.default_rng(100 * order + d)
-    flow = VerletFlow.create(d, d, order=order, hidden=[8], seed=order + d)
+    flow = VerletFlow(d, d, order=order, hidden=[8], seed=order + d)
     for c in flow.q_nets[2:] + flow.p_nets[2:]:
         c.net.weights[-1] *= 0.05
     q0 = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
@@ -316,8 +316,8 @@ def test_hutchinson_unbiased_over_probes(small_flow, rng):
 def _random_field(order, d_q, d_p, rows, dense, seed):
     """A random flow and a recorded field evaluation at a random state."""
     rng = np.random.default_rng(seed)
-    flow = VerletFlow.create(d_q, d_p, order=order, hidden=[5], seed=seed % 997,
-                             k1_form=DENSE if dense else "diagonal")
+    flow = VerletFlow(d_q, d_p, order=order, hidden=[5], seed=seed % 997,
+                      k1_form=DENSE if dense else "diagonal")
     lead = () if rows is None else (rows,)
     state = PhaseState(q=rng.standard_normal(lead + (d_q,)),
                        p=rng.standard_normal(lead + (d_p,)), t=rng.uniform())
@@ -385,7 +385,7 @@ def test_hutchinson_trace_is_probe_quadratic_form(order, d_q, d_p, rows, dense,
 
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
 def test_rk4_runs_dense_k1_flows(method, rng):
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=3, k1_form=DENSE)
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=3, k1_form=DENSE)
     state = PhaseState(q=rng.standard_normal((5, 2)),
                        p=rng.standard_normal((5, 2)), t=0.0)
     res = rk4_integrate(flow, state, IntegratorConfig(steps=4, method=method))
@@ -402,11 +402,10 @@ def test_field_evaluation_counters(small_flow, rng):
     assert rv.field_evaluations == 8 * 2 * 2
     rr = rk4_integrate(small_flow, state, IntegratorConfig(steps=8, method="rk4-exact"))
     assert rr.field_evaluations == 4 * 8
-    assert rv.wall_time > 0 and rr.wall_time > 0
 
 
 def test_singularity_becomes_integration_error():
-    flow = VerletFlow.create(1, 1, order=2, hidden=[2], seed=0).zero_()
+    flow = VerletFlow(1, 1, order=2, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 50.0  # guaranteed base sign flip
     with pytest.raises(IntegrationError) as exc:
         verlet_integrate(
@@ -419,7 +418,7 @@ def test_singularity_becomes_integration_error():
 def test_rk4_stage_overflow_is_integration_error(method):
     cfg = IntegratorConfig(steps=10, method=method)
     # q^2 and q^3 are finite at the step's start and overflow at its midpoint
-    flow = VerletFlow.create(1, 1, order=3, hidden=[2], seed=0).zero_()
+    flow = VerletFlow(1, 1, order=3, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 1.0
     flow.q_nets[3].net.biases[-1][:] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -427,7 +426,7 @@ def test_rk4_stage_overflow_is_integration_error(method):
             rk4_integrate(flow, PhaseState(q=[1e100], p=[0.0], t=0.0), cfg)
     assert exc.value.step == 0
     # a finite field that carries the last stage's input past the float range
-    flow = VerletFlow.create(1, 1, order=0, hidden=[2], seed=0).zero_()
+    flow = VerletFlow(1, 1, order=0, hidden=[2], seed=0).zero_()
     flow.q_nets[0].net.biases[-1][:] = 1e308
     with np.errstate(over="ignore"):
         with pytest.raises(IntegrationError, match="non-finite phase-space") as exc:

@@ -21,7 +21,7 @@ from verletflow.training import TrainConfig
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    flow = VerletFlow.create(2, 3, order=2, hidden=[5, 4], seed=8)
+    flow = VerletFlow(2, 3, order=2, hidden=[5, 4], seed=8)
     path = tmp_path / "ck.txt"
     save_checkpoint(path, flow)
     loaded = load_checkpoint(path)
@@ -43,7 +43,7 @@ REFERENCE = (Path(__file__).resolve().parents[1]
                    (3, "diagonal"), (1, "dense")],
 )
 def test_checkpoint_roundtrip_all_orders(tmp_path, order, form):
-    flow = VerletFlow.create(2, 2, order, hidden=[6, 3], seed=order, k1_form=form)
+    flow = VerletFlow(2, 2, order, hidden=[6, 3], seed=order, k1_form=form)
     flow.set_params(np.random.default_rng(order).standard_normal(flow.num_params))
     path = tmp_path / "ck.txt"
     save_checkpoint(path, flow)
@@ -68,7 +68,7 @@ def test_reference_checkpoint_roundtrips_in_little_memory(tmp_path):
 
 
 def test_checkpoint_format_layout(tmp_path):
-    flow = VerletFlow.create(1, 1, order=0, hidden=[2], seed=0)
+    flow = VerletFlow(1, 1, order=0, hidden=[2], seed=0)
     path = tmp_path / "ck.txt"
     save_checkpoint(path, flow)
     lines = path.read_text().splitlines()
@@ -87,7 +87,7 @@ def test_checkpoint_format_layout(tmp_path):
 
 
 def test_checkpoint_preserves_dense_k1(tmp_path):
-    flow = VerletFlow.create(2, 2, order=1, hidden=[3], seed=1, k1_form="dense")
+    flow = VerletFlow(2, 2, order=1, hidden=[3], seed=1, k1_form="dense")
     path = tmp_path / "ck.txt"
     save_checkpoint(path, flow)
     assert load_checkpoint(path).k1_form == "dense"
@@ -101,7 +101,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.txt")
     truncated = tmp_path / "trunc.txt"
-    flow = VerletFlow.create(1, 1, order=0, hidden=[2], seed=0)
+    flow = VerletFlow(1, 1, order=0, hidden=[2], seed=0)
     save_checkpoint(truncated, flow)
     lines = truncated.read_text().splitlines()
     truncated.write_text("\n".join(lines[:-3]) + "\n")
@@ -112,6 +112,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
     negative.write_text(f"{CHECKPOINT_MAGIC}\norder=-1\nd_q=2\nd_p=2\nhidden=4\n\n")
     with pytest.raises(CheckpointError, match="negative order"):
         load_checkpoint(negative)
+    # one body value must not broadcast over the parameter vector
+    single = tmp_path / "single.txt"
+    single.write_text("\n".join(lines[:7] + ["0.5"]) + "\n")
+    with pytest.raises(CheckpointError, match="parameters"):
+        load_checkpoint(single)
+    banded = tmp_path / "banded.txt"
+    banded.write_text("\n".join(lines).replace("k1_form=diagonal", "k1_form=banded") + "\n")
+    with pytest.raises(CheckpointError, match="banded"):
+        load_checkpoint(banded)
 
 
 def test_checkpoint_rejects_undecodable_bytes(tmp_path):
@@ -124,7 +133,7 @@ def test_checkpoint_rejects_undecodable_bytes(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
     path = tmp_path / "ck.txt"
-    save_checkpoint(path, VerletFlow.create(1, 1, order=0, hidden=[2], seed=0))
+    save_checkpoint(path, VerletFlow(1, 1, order=0, hidden=[2], seed=0))
     lines = path.read_text().splitlines()
     lines[8] = value
     path.write_text("\n".join(lines) + "\n")
@@ -159,6 +168,11 @@ def test_config_validation_errors(tmp_path):
         Config.from_dict({"dims": {"d_q": 0}})
     with pytest.raises(ConfigError):
         Config.from_dict({"target": {"type": "uniform"}})
+    with pytest.raises(ConfigError, match="unknown normal target keys"):
+        Config.from_dict({"target": {"type": "normal", "variance": 5}})
+    for ev in ({"method": "rk5"}, {"steps": 0}, {"hutchinson_probes": 0}):
+        with pytest.raises(ConfigError):
+            Config.from_dict({"eval": ev})
     with pytest.raises(ConfigError):
         Config.from_dict({"train": {"steps": 0}})
     bad = tmp_path / "bad.json"

@@ -33,7 +33,7 @@ def test_config_validation():
 
 def test_taped_and_plain_losses_agree_exactly(rng):
     # the recorded run (TapedFlowParams) and the plain run share one code path
-    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=1)
+    flow = VerletFlow(2, 2, order=1, hidden=[8], seed=1)
     cfg = tiny_cfg()
     q = default_trimodal().sample(16, seed=0)
     plain = nll_batch(flow, q, cfg, np.random.default_rng(7))
@@ -44,8 +44,8 @@ def test_taped_and_plain_losses_agree_exactly(rng):
 def damped_flow(order, seed, hidden=(4,), k1_form="diagonal"):
     """Random flow whose k >= 2 coefficients are scaled down so the
     higher-order closed forms stay clear of their singular set."""
-    flow = VerletFlow.create(2, 2, order=order, hidden=list(hidden), seed=seed,
-                             k1_form=k1_form)
+    flow = VerletFlow(2, 2, order=order, hidden=list(hidden), seed=seed,
+                      k1_form=k1_form)
     for c in flow.q_nets[2:] + flow.p_nets[2:]:
         c.net.weights[-1] *= 0.05
     return flow
@@ -70,7 +70,7 @@ def assert_nll_gradient_matches_fd(flow, cfg, q, rng, picks=40, h=1e-6):
 
 
 def test_nll_gradient_matches_fd(rng):
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=2)
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=2)
     q = default_trimodal().sample(8, seed=1)
     assert_nll_gradient_matches_fd(flow, tiny_cfg(steps=2), q, rng)
 
@@ -87,7 +87,7 @@ def test_nll_gradient_matches_fd_other_orders(order, form, rng):
 
 
 def test_recorded_nll_leaves_no_cyclic_garbage():
-    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=1)
+    flow = VerletFlow(2, 2, order=1, hidden=[8], seed=1)
     q = default_trimodal().sample(16, seed=0)
     gc.collect()
     gc.disable()
@@ -122,7 +122,7 @@ def test_train_frees_each_record_before_the_next(monkeypatch):
 def test_grad_flat_sweeps_the_record_once():
     # the sweep releases each substep as it goes, so a second sweep has
     # nothing to differentiate and must say so instead of returning zeros
-    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=1)
+    flow = VerletFlow(2, 2, order=1, hidden=[8], seed=1)
     q = default_trimodal().sample(16, seed=0)
     _, recorded = nll_batch(flow, q, tiny_cfg(), np.random.default_rng(7),
                             record=True)
@@ -133,7 +133,7 @@ def test_grad_flat_sweeps_the_record_once():
 
 
 def test_nll_batch_rejects_bad_shapes():
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=0)
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=0)
     cfg = tiny_cfg()
     with pytest.raises(ValueError):
         nll_batch(flow, np.zeros(2), cfg, np.random.default_rng(0))
@@ -143,7 +143,7 @@ def test_nll_batch_rejects_bad_shapes():
 
 def test_identity_flow_nll_is_analytic():
     # zero field: NLL = mean(-log N(q1) - log N(p1)) with p1 the fresh draws
-    flow = VerletFlow.create(2, 2, order=1, hidden=[4], seed=0).zero_()
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=0).zero_()
     cfg = tiny_cfg()
     q = default_trimodal().sample(32, seed=2)
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
@@ -176,7 +176,6 @@ def test_train_decreases_nll_and_is_deterministic():
     assert tail < head
     assert not rep1.diverged and rep1.skipped_batches == 0
     assert rep1.wall_time > 0
-    assert np.array_equal(rep1.params, flow1.get_params())
 
 
 def test_train_seed_changes_result():
@@ -188,7 +187,7 @@ def test_train_seed_changes_result():
 
 def test_train_accepts_existing_flow():
     target = standard_normal(2)
-    flow = VerletFlow.create(2, 2, order=1, hidden=[8], seed=5)
+    flow = VerletFlow(2, 2, order=1, hidden=[8], seed=5)
     before = flow.get_params().copy()
     out, rep = train(target, tiny_cfg(), flow=flow)
     assert out is flow
@@ -225,4 +224,3 @@ def test_train_divergence_keeps_last_good_params(monkeypatch):
     assert rep.diverged
     assert len(rep.nll_per_epoch) == 2  # epochs before the poisoned one
     assert np.all(np.isfinite(flow.get_params()))
-    assert np.array_equal(rep.params, flow.get_params())
