@@ -221,13 +221,9 @@ def cmd_sample(args):
         return EXIT_USAGE
     cfg = IntegratorConfig(steps=args.steps or IntegratorConfig.steps,
                            seed=args.seed or IntegratorConfig.seed)
-    rng = np.random.default_rng(cfg.seed)
-    q0 = rng.standard_normal((args.n, flow.d_q))
-    p0 = rng.standard_normal((args.n, flow.d_p))
-    x0 = np.concatenate([q0, p0], axis=-1)
-    q1, p1, log_model = np.empty_like(q0), np.empty_like(p0), np.empty(args.n)
-    blocks = push_blocks(flow, cfg, 0, args.n, lambda a, b: (x0[a:b], None))
-    for a, b, *block in blocks:
+    q1, p1 = np.empty((args.n, flow.d_q)), np.empty((args.n, flow.d_p))
+    log_model = np.empty(args.n)
+    for a, b, *block in push_blocks(flow, cfg, 0, args.n):
         q1[a:b], p1[a:b], log_model[a:b] = block
     failed = int(np.isnan(log_model).sum())
     if failed:

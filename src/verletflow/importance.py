@@ -95,40 +95,37 @@ def _integrate_block(flow, q0, p0, cfg, eps):
         return q1, p1, dlogp
 
 
-def push_blocks(flow, cfg, lo, hi, source):
+def push_blocks(flow, cfg, lo, hi):
     """Push sample rows [lo, hi) forward one block at a time.
 
-    Each block of ``BLOCK_ROWS`` rows (the last may be shorter) runs
-    through every integration step before the next starts, so the
-    coefficient-net activations stay in cache.  With ``lo`` a multiple of
-    ``BLOCK_ROWS``, row i always lands in block i // BLOCK_ROWS whatever
-    the split of [0, n), and BLAS rounds a row the same way only within
-    an equal-sized batch.  ``source(a, b)`` returns the source rows
-    [q0 | p0] of [a, b) and their Hutchinson probes (or None).  Yields
-    (a, b, q1, p1, log_model) per block: the end states and their model
-    log-density, NaN for samples whose integration failed.
+    Each block of ``BLOCK_ROWS`` rows (the last may be shorter) draws its
+    source rows [q0 | p0] (``source_rows``) and rk4-hutchinson probes
+    (``rademacher_probes``) from ``cfg.seed``, so every command pushes the
+    same sample i, and runs through every integration step before the
+    next starts, so the coefficient-net activations stay in cache.  With
+    ``lo`` a multiple of ``BLOCK_ROWS``, row i always lands in block
+    i // BLOCK_ROWS whatever the split of [0, n), and BLAS rounds a row
+    the same way only within an equal-sized batch.  Yields (a, b, q1, p1,
+    log_model) per block: the end states and their model log-density, NaN
+    for samples whose integration failed.
     """
     d_q = flow.d_q
+    dim = d_q + flow.d_p
     for a in range(lo, hi, BLOCK_ROWS):
         b = min(a + BLOCK_ROWS, hi)
-        x0, eps = source(a, b)
+        eps = None
+        if cfg.method == RK4_HUTCHINSON:
+            eps = rademacher_probes(cfg.seed, range(a, b),
+                                    cfg.hutchinson_probes, dim)
+        x0 = source_rows(cfg.seed, a, b, dim)
         q1, p1, dlogp = _integrate_block(flow, x0[:, :d_q], x0[:, d_q:], cfg, eps)
         yield a, b, q1, p1, standard_normal_logpdf(x0) + dlogp
 
 
 def _log_weights_range(flow, target, cfg, lo, hi):
     """Log-weights for sample indices [lo, hi), ``lo`` block-aligned."""
-    dim = flow.d_q + flow.d_p
-
-    def source(a, b):
-        eps = None
-        if cfg.method == RK4_HUTCHINSON:
-            eps = rademacher_probes(cfg.seed, range(a, b),
-                                    cfg.hutchinson_probes, dim)
-        return source_rows(cfg.seed, a, b, dim), eps
-
     lw = np.empty(hi - lo)
-    for a, b, q1, p1, log_model in push_blocks(flow, cfg, lo, hi, source):
+    for a, b, q1, p1, log_model in push_blocks(flow, cfg, lo, hi):
         lw[a - lo : b - lo] = (
             target.log_density(q1) + standard_normal_logpdf(p1) - log_model
         )

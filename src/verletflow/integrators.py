@@ -58,8 +58,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.t0 == self.t1:
-            raise ValueError("t0 and t1 must differ")
+        if self.t0 == self.t1 or not (0 <= self.t0 <= 1 and 0 <= self.t1 <= 1):
+            raise ValueError(f"t0={self.t0}, t1={self.t1}: must differ and lie in [0, 1]")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.hutchinson_probes < 1:

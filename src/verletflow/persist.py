@@ -17,6 +17,7 @@ import numpy as np
 
 from .densities import Gmm, UnnormalizedDensity, default_trimodal, standard_normal
 from .flow import VerletFlow
+from .importance import SD_BATCHES
 from .integrators import IntegratorConfig
 from .training import TrainConfig
 
@@ -84,6 +85,8 @@ class EvalConfig:
         # the integration rules are IntegratorConfig's own
         IntegratorConfig(steps=self.steps, method=self.method, seed=self.seed,
                          hutchinson_probes=self.hutchinson_probes)
+        if self.samples < SD_BATCHES:  # the reported sd needs SD_BATCHES batches
+            raise ValueError(f"eval.samples must be >= {SD_BATCHES}, got {self.samples}")
 
 
 @dataclass
@@ -158,12 +161,9 @@ class Config:
             raise ConfigError(f"target dim {base.dim} != d_q {self.d_q}")
         return UnnormalizedDensity(base, logZ_true=logz)
 
-    def build_flow(self, seed=None):
-        return VerletFlow(
-            self.d_q, self.d_p, self.order, hidden=self.hidden_sizes,
-            seed=self.train.seed if seed is None else seed,
-            k1_form=self.k1_form,
-        )
+    def build_flow(self):
+        return VerletFlow(self.d_q, self.d_p, self.order, hidden=self.hidden_sizes,
+                          seed=self.train.seed, k1_form=self.k1_form)
 
 
 class CheckpointError(ValueError):

@@ -37,8 +37,9 @@ def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi):
     return parts
 
 
-def logz_curve_svg(curves, logz_true=None, title="log Z estimate vs samples"):
+def logz_curve_svg(curves, logz_true=None):
     """``curves``: {label: [(m, logZ, sd), ...]} with m on a log axis."""
+    title = "log Z estimate vs samples"
     pts = [
         (math.log10(m), z, sd)
         for curve in curves.values()

@@ -111,20 +111,21 @@ def nll_batch(flow: VerletFlow, q_batch, cfg: TrainConfig, rng, *, record=False)
 
 
 class Adam:
-    def __init__(self, n_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, n_params, lr):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
 
     def step(self, params, grad):
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
+        m_hat = self.m / (1 - self.BETA1**self.t)
+        v_hat = self.v / (1 - self.BETA2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):

@@ -14,7 +14,8 @@ import verletflow.cli as cli
 from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrate
 from verletflow.cli import main
 from verletflow.densities import standard_normal_logpdf
-from verletflow.persist import load_checkpoint, save_checkpoint
+from verletflow.importance import log_weights, source_rows
+from verletflow.persist import Config, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -75,10 +76,13 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
      {"target": {"type": "trimodal", "logZ_true": float("nan")}},
      {"hidden_sizes": [4], "train": {"epoch": 2, "batch_size": 16, "steps": 2}},
      {"eval": {"method": "rk5"}}, {"eval": {"steps": 0}},
-     {"eval": {"hutchinson_probes": 0}}, {"target": {"type": "normal", "variance": 5}}],
+     {"eval": {"hutchinson_probes": 0}}, {"target": {"type": "normal", "variance": 5}},
+     {"hidden_sizes": [4], "train": {"epochs": 1, "batch_size": 8, "steps": 2},
+      "eval": {"samples": -5}}, {"eval": {"samples": 0}}],
     ids=["zero-steps", "list-config", "string-target", "list-dims", "scalar-train",
          "null-eval", "inf-variance", "nan-mean", "nan-logz", "typo-key",
-         "eval-method", "eval-zero-steps", "eval-zero-probes", "normal-variance"],
+         "eval-method", "eval-zero-steps", "eval-zero-probes", "normal-variance",
+         "eval-negative-samples", "eval-zero-samples"],
 )
 def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -502,17 +506,16 @@ def test_negative_config_seed_is_usage_error(trained_dir, tmp_path, capsys, sect
     assert err.startswith("error:") and "seeds must be >= 0" in err
 
 
-def test_sample_streams_blocks_with_its_own_draws(trained_dir, tmp_path):
+def test_sample_streams_blocks_from_source_rows(trained_dir, tmp_path):
     # more rows than one block; the output matches a one-shot integration
-    # of the same draws (q rows first, then p rows, from one generator)
+    # of the estimators' per-sample draws [q0 | p0] for the same seed
     ck, path = trained_dir / "checkpoint.txt", tmp_path / "s.csv"
     argv = ["sample", str(ck), "-n", "1500", "--steps", "3", "--seed", "4",
             "--csv", str(path)]
     assert main(argv) == 0
     flow = load_checkpoint(ck)
-    rng = np.random.default_rng(4)
-    q0 = rng.standard_normal((1500, 2))
-    p0 = rng.standard_normal((1500, 2))
+    x0 = source_rows(4, 0, 1500, 4)
+    q0, p0 = x0[:, :2], x0[:, 2:]
     res = verlet_integrate(
         flow, PhaseState(q=q0, p=p0, t=0.0), IntegratorConfig(steps=3)
     )
@@ -520,6 +523,26 @@ def test_sample_streams_blocks_with_its_own_draws(trained_dir, tmp_path):
     want = np.column_stack([res.state.q, res.state.p, log_model])
     got = np.array([[float(v) for v in r] for r in read_csv(path)[1:]])
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_sample_rows_are_the_estimators_samples(trained_dir, tmp_path):
+    # row i of `sample --seed s` is log-weight i of `logz --seed s`: the
+    # same draw, end state and model log-density; `-n 5` is a prefix
+    ck = trained_dir / "checkpoint.txt"
+    common = ["sample", str(ck), "--steps", "3", "--seed", "4", "--csv"]
+    assert main(common + [str(tmp_path / "all.csv"), "-n", "1500"]) == 0
+    assert main(common + [str(tmp_path / "head.csv"), "-n", "5"]) == 0
+    rows = np.array([[float(v) for v in r] for r in read_csv(tmp_path / "all.csv")[1:]])
+    head = np.array([[float(v) for v in r] for r in read_csv(tmp_path / "head.csv")[1:]])
+    # a 5-row block and a 1024-row block may round the nets' GEMMs apart
+    assert np.allclose(head, rows[:5], rtol=1e-10, atol=0)
+    target = Config().build_target()
+    cfg = IntegratorConfig(steps=3, seed=4)
+    lw = log_weights(load_checkpoint(ck), target, 1500, cfg)
+    q1, p1, log_density = rows[:, :2], rows[:, 2:4], rows[:, 4]
+    rebuilt = target.log_density(q1) + standard_normal_logpdf(p1) - log_density
+    # 12 CSV digits round each O(1) term by ~1e-11, so a weight near 0 needs atol
+    assert np.allclose(rebuilt, lw, rtol=1e-9, atol=1e-9)
 
 
 # -- check -------------------------------------------------------------------

@@ -53,12 +53,18 @@ def test_log_weights_worker_count_invariance(identity_flow, normal_target):
     assert np.array_equal(lw1, lw3)
 
 
-@pytest.mark.parametrize("n", [1024, 3000])
-def test_log_weights_byte_identical_across_workers(normal_target, n):
+@pytest.mark.parametrize(
+    "method,n,steps",
+    [("taylor-verlet", 1024, 5), ("taylor-verlet", 3000, 5),
+     ("rk4-hutchinson", 1100, 2)],
+    ids=["1024", "3000", "rk4-hutchinson-1100"],
+)
+def test_log_weights_byte_identical_across_workers(normal_target, method, n, steps):
     # a random width-64 flow: chunks split at other than whole blocks
-    # (e.g. 512-row halves) take a different BLAS kernel and change bits
+    # (e.g. 512-row halves) take a different BLAS kernel and change bits;
+    # rk4-hutchinson also draws each block's probes per sample
     flow = VerletFlow(2, 2, 1, hidden=(64, 64, 64), seed=0)
-    cfg = IntegratorConfig(steps=5, seed=0)
+    cfg = IntegratorConfig(steps=steps, seed=0, method=method)
     ref = log_weights(flow, normal_target, n, cfg, workers=1)
     assert np.all(np.isfinite(ref))
     for workers in (2, 3):

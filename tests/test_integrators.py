@@ -48,6 +48,14 @@ def test_config_validation():
     assert IntegratorConfig(t0=1.0, t1=0.0, steps=4).tau == -0.25
 
 
+@pytest.mark.parametrize("t0,t1", [(0.0, 2.0), (-0.5, 1.0), (1.0, 1.5),
+                                   (0.0, float("nan"))])
+def test_config_rejects_times_outside_unit_interval(t0, t1):
+    # a usage error before any step, not a divergence after all of them
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        IntegratorConfig(t0=t0, t1=t1, steps=4)
+
+
 def test_integrate_dispatch_checks_method(small_flow, rng):
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.0)
     with pytest.raises(ValueError):

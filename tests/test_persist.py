@@ -170,7 +170,8 @@ def test_config_validation_errors(tmp_path):
         Config.from_dict({"target": {"type": "uniform"}})
     with pytest.raises(ConfigError, match="unknown normal target keys"):
         Config.from_dict({"target": {"type": "normal", "variance": 5}})
-    for ev in ({"method": "rk5"}, {"steps": 0}, {"hutchinson_probes": 0}):
+    for ev in ({"method": "rk5"}, {"steps": 0}, {"hutchinson_probes": 0},
+               {"samples": 0}, {"samples": -5}):
         with pytest.raises(ConfigError):
             Config.from_dict({"eval": ev})
     with pytest.raises(ConfigError):
@@ -260,6 +261,5 @@ def test_config_build_flow():
     assert flow.order == 1 and flow.hidden_sizes == [4]
     # same seed, same flow
     assert np.array_equal(flow.get_params(), cfg.build_flow().get_params())
-    assert not np.array_equal(
-        flow.get_params(), cfg.build_flow(seed=10).get_params()
-    )
+    cfg.train.seed = 10
+    assert not np.array_equal(flow.get_params(), cfg.build_flow().get_params())
