@@ -143,11 +143,11 @@ class VerletFlow(ParamVector):
 
     # -- field evaluation ---------------------------------------------------
 
-    def eval_field(self, state: PhaseState, record=None):
+    def eval_field(self, state: PhaseState, record):
         """(dq/dt, dp/dt): per side, the sum over k = 0..order of the
         Taylor term s_k applied k-fold to the same-side variable.
 
-        ``record``, if a list, receives ``(coeff, acts)`` per (side, k),
+        The list ``record`` receives ``(coeff, acts)`` per (side, k),
         q-side first and k ascending: the realized coefficient and its
         net's layer inputs, for ``field_vjp``.
         """
@@ -155,10 +155,9 @@ class VerletFlow(ParamVector):
         for side, x, opp in (("q", state.q, state.p), ("p", state.p, state.q)):
             terms = []
             for c in self.nets(side):
-                acts = None if record is None else []
+                acts = []
                 coeff = c(opp, state.t, acts)
-                if record is not None:
-                    record.append((coeff, acts))
+                record.append((coeff, acts))
                 terms.append(apply_coefficient(coeff, x, c.order, c.form))
             total = terms[0]
             for term in terms[1:]:

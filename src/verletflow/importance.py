@@ -16,12 +16,7 @@ import numpy as np
 
 from .densities import UnnormalizedDensity, logsumexp, standard_normal_logpdf
 from .flow import PhaseState, VerletFlow
-from .integrators import (
-    RK4_HUTCHINSON,
-    IntegrationError,
-    integrate,
-    rademacher_probes,
-)
+from .integrators import RK4_HUTCHINSON, IntegrationError, integrate
 
 SD_BATCHES = 10
 # rows per block streamed through every integration step; 1024 keeps a
@@ -69,6 +64,25 @@ def source_rows(seed, lo, hi, dim):
     return x
 
 
+def rademacher_probes(seed, sample_indices, probes, dim):
+    """Per-sample Rademacher probe bank, split from (seed, sample-index) so
+    estimates are independent of batching and worker count.
+
+    Each sample's probes are drawn once and held fixed for every field
+    evaluation along its trajectory, so the integrated trace estimate stays
+    unbiased while the estimation error is coherent within a trajectory.
+
+    Returns int8 array of shape (n, probes, dim) with entries +/-1.
+    """
+    out = np.empty((len(sample_indices), probes, dim), dtype=np.int8)
+    for row, idx in enumerate(sample_indices):
+        rng = np.random.default_rng((seed, 0x48, idx))
+        out[row] = rng.integers(0, 2, size=(probes, dim), dtype=np.int8) * 2 - 1
+    return out
+
+
+# overflow in a trajectory is an outcome here (a NaN sample), not a warning
+@np.errstate(all="ignore")
 def _integrate_block(flow, q0, p0, cfg, eps):
     """End state (q1, p1) and dlogp of one block of source rows.
 
@@ -87,7 +101,7 @@ def _integrate_block(flow, q0, p0, cfg, eps):
             try:
                 res = integrate(
                     flow, PhaseState(q=q0[i], p=p0[i], t=cfg.t0), cfg,
-                    hutchinson_eps=None if eps is None else eps[i : i + 1],
+                    hutchinson_eps=None if eps is None else eps[i],
                 )
             except IntegrationError:
                 continue

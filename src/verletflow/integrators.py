@@ -6,9 +6,10 @@ Two families:
   updates with exact per-step log-det accumulation (invertible, so reverse
   integration applies the exact inverse sub-updates); and
 * a fixed-step RK4 baseline that integrates the continuous change of
-  variables, with the trace of the field Jacobian computed either exactly
-  with one field vector-Jacobian product per basis vector, as reverse-mode
-  autodiff takes it, or estimated with Hutchinson probes.
+  variables.  One routine takes the trace of the field Jacobian from field
+  vector-Jacobian products over a bank of seeds: each side's basis vectors
+  (rk4-exact, as reverse-mode autodiff takes it) or the caller's
+  Hutchinson probes (rk4-hutchinson).  Nothing here draws random numbers.
 
 Both operate on vector states or on batches ``(n, d)``.  A Taylor-Verlet run
 can record its substeps, and ``verlet_vjp`` then differentiates it with
@@ -200,60 +201,47 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
 # RK4 baseline with trace integration
 
 
-def _exact_trace(flow, state, record):
-    """Per-sample trace of the field Jacobian restricted to (q, p), the way
-    a generic CNF takes it with reverse-mode autodiff: one full VJP (the
-    side's coefficient nets included) per basis vector.  A side's d basis
-    seeds are stacked on a leading axis and pushed through that side only.
+def _seed_bank(cfg, q, p, eps):
+    """``(bank, draws)``: the seeds ``_trace`` takes at every RK4 stage, and
+    the number of draws its sum is averaged over.
+
+    rk4-exact's one draw is each side's d basis vectors on a leading axis,
+    the other side unseeded: one VJP per side, as reverse-mode autodiff
+    takes a trace.  rk4-hutchinson takes one VJP per probe of the caller's
+    bank ``eps``, shaped ``q.shape[:-1] + (probes, d_q + d_p)``.
     """
-    trace = np.zeros(state.q.shape[0]) if state.q.ndim == 2 else 0.0
-    for side, x in (("q", state.q), ("p", state.p)):
-        d = x.shape[-1]
-        seeds = np.zeros((d,) + x.shape)
-        for i in range(d):
-            seeds[i, ..., i] = 1.0
-        if side == "q":
-            g = flow.field_vjp(state, record, seeds, None)[0]
-        else:
-            g = flow.field_vjp(state, record, None, seeds)[1]
-        for i in range(d):
-            trace = trace + g[i, ..., i]
-    return trace
+    d_q = q.shape[-1]
+    if cfg.method == RK4_EXACT:
+        if eps is not None:
+            raise ValueError("rk4-exact takes no probe bank")
+        e_q, e_p = (np.zeros((x.shape[-1],) + x.shape) for x in (q, p))
+        for e in (e_q, e_p):
+            for i in range(len(e)):
+                e[i, ..., i] = 1.0
+        return [(e_q, None), (None, e_p)], 1
+    shape = q.shape[:-1] + (cfg.hutchinson_probes, d_q + p.shape[-1])
+    if eps is None or eps.shape != shape:
+        raise ValueError(f"rk4-hutchinson needs a probe bank of shape {shape}")
+    probes = [eps[..., j, :].astype(np.float64) for j in range(shape[-2])]
+    return [(v[..., :d_q], v[..., d_q:]) for v in probes], len(probes)
 
 
-def rademacher_probes(seed, sample_indices, probes, dim):
-    """Per-sample Rademacher probe bank, split from (seed, sample-index) so
-    estimates are independent of batching and worker count.
+def _trace(flow, state, record, bank):
+    """Per-sample sum of v . (v^T J) over the seeds v of ``bank``, with J
+    the field Jacobian restricted to (q, p) that ``record`` evaluated.
 
-    Each sample's probes are drawn once and held fixed for every field
-    evaluation along its trajectory, so the integrated trace estimate stays
-    unbiased while the estimation error is coherent within a trajectory.
-
-    Returns int8 array of shape (n, probes, dim) with entries +/-1.
+    Each ``(v_q, v_p)`` of ``bank`` is one ``field_vjp``; a side's seed is
+    None (unseeded) or stacks seeds on leading axes in front of the state's
+    shape.  Terms are added seed after seed, q side before p side.
     """
-    out = np.empty((len(sample_indices), probes, dim), dtype=np.int8)
-    for row, idx in enumerate(sample_indices):
-        rng = np.random.default_rng((seed, 0x48, idx))
-        out[row] = rng.integers(0, 2, size=(probes, dim), dtype=np.int8) * 2 - 1
-    return out
-
-
-def _hutchinson_trace(flow, state, record, eps_bank):
-    """Rademacher estimate of the restricted Jacobian trace, batched: the
-    mean over probes eps of eps . (eps^T J), one field VJP per probe.
-
-    ``eps_bank`` holds the per-sample probes: (n, probes, d) for a batch or
-    (probes, d) for a single state.
-    """
-    est = np.zeros(state.q.shape[0]) if state.q.ndim == 2 else 0.0
-    dq = state.d_q
-    probes = eps_bank.shape[-2]
-    for j in range(probes):
-        eps = eps_bank[..., j, :].astype(np.float64)
-        eq, ep = eps[..., :dq], eps[..., dq:]
-        vjp_q, vjp_p = flow.field_vjp(state, record, eq, ep)
-        est = est + (vjp_q * eq).sum(axis=-1) + (vjp_p * ep).sum(axis=-1)
-    return est / probes
+    lead = state.q.shape[:-1]
+    total = np.zeros(lead)
+    for seeds in bank:
+        for v, g in zip(seeds, flow.field_vjp(state, record, *seeds)):
+            if v is not None:
+                for term in (g * v).sum(axis=-1).reshape((-1,) + lead):
+                    total = total + term
+    return total
 
 
 def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
@@ -261,11 +249,11 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     """Classic RK4 on (q, p, l) with dl/dt = -tr J of the field.
 
     Each stage evaluates the field once, recording its coefficients and net
-    activations, and takes the trace from field VJPs over that record.
-    ``hutchinson_eps`` optionally supplies the probe bank (as produced by
-    ``rademacher_probes``); otherwise it is built from cfg.seed with
-    per-sample splitting at offset zero.  A non-finite stage input or field
-    raises ``IntegrationError`` with the failing step.
+    activations, and takes the trace with ``_trace`` over that record.
+    rk4-hutchinson takes its probe bank ``hutchinson_eps`` from the caller
+    (``importance.rademacher_probes``) and rk4-exact takes none.  A
+    non-finite stage input or field raises ``IntegrationError`` with the
+    failing step.
     """
     if cfg.method not in (RK4_EXACT, RK4_HUTCHINSON):
         raise ValueError(f"rk4_integrate got method {cfg.method!r}")
@@ -274,14 +262,8 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     tau = cfg.tau
     q = state.q.copy()
     p = state.p.copy()
-    batch = q.ndim == 2
-    ell = np.zeros(q.shape[0]) if batch else 0.0
-    if cfg.method == RK4_HUTCHINSON and hutchinson_eps is None:
-        n = q.shape[0] if batch else 1
-        hutchinson_eps = rademacher_probes(
-            cfg.seed, range(n), cfg.hutchinson_probes,
-            q.shape[-1] + p.shape[-1],
-        )
+    ell = np.zeros(q.shape[:-1])
+    bank, draws = _seed_bank(cfg, q, p, hutchinson_eps)
 
     def deriv(qq, pp, t):
         try:
@@ -290,12 +272,7 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
             raise NumericError(str(err)) from err
         record = []
         fq, fp = flow.eval_field(st, record)
-        if cfg.method == RK4_EXACT:
-            tr = _exact_trace(flow, st, record)
-        else:
-            bank = hutchinson_eps if batch else hutchinson_eps[0]
-            tr = _hutchinson_trace(flow, st, record, bank)
-        return fq, fp, -tr
+        return fq, fp, -(_trace(flow, st, record, bank) / draws)
 
     t = cfg.t0
     for i in range(cfg.steps):

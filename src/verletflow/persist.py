@@ -144,19 +144,21 @@ class Config:
         if kind not in TARGET_KEYS:
             raise ConfigError(f"unknown target type {kind!r}")
         _section(spec, f"{kind} target", ("type", "logZ_true") + TARGET_KEYS[kind])
-        logz = float(spec.get("logZ_true", np.log(2.0)))
+        logz = _number(spec.get("logZ_true", np.log(2.0)), "logZ_true")
         if not np.isfinite(logz):
             raise ConfigError(f"logZ_true must be finite, got {logz}")
         if kind == "trimodal":
-            base = default_trimodal(variance=float(spec.get("variance", 0.3)))
+            base = default_trimodal(variance=_number(spec.get("variance", 0.3), "variance"))
         elif kind == "normal":
             base = standard_normal(self.d_q)
         else:
-            base = Gmm(
-                weights=np.asarray(spec["weights"], dtype=np.float64),
-                means=np.asarray(spec["means"], dtype=np.float64),
-                variances=np.asarray(spec["variances"], dtype=np.float64),
-            )
+            arrays = {}
+            for key in TARGET_KEYS[kind]:
+                # entry by entry: numpy would read [true, 1] as integers
+                a = np.asarray(spec[key], dtype=object)
+                values = [_number(x, f"gmm {key} entry") for x in a.flat]
+                arrays[key] = np.reshape(values, a.shape)
+            base = Gmm(**arrays)
         if base.dim != self.d_q:
             raise ConfigError(f"target dim {base.dim} != d_q {self.d_q}")
         return UnnormalizedDensity(base, logZ_true=logz)

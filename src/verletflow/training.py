@@ -145,22 +145,25 @@ def train(target, cfg: TrainConfig, flow: VerletFlow = None, callback=None):
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng((cfg.seed, epoch))
         q_batch = target.sample(cfg.batch_size, seed=(cfg.seed, epoch, 1))
-        try:
-            nll, recorded = nll_batch(flow, q_batch, cfg, rng, record=True)
-        except DivergenceError:
-            diverged = True
-            break
-        except IntegrationError:
-            skipped += 1
-            continue
-        if not np.isfinite(nll):
-            diverged = True
-            break
-        grad = recorded.grad_flat()
-        # the sweep freed the record; nothing else of this batch may
-        # outlive the epoch either
-        del recorded
-        new_params = opt.step(flow.params, grad)
+        # overflow is an outcome below (a skipped batch or divergence), not
+        # a warning
+        with np.errstate(all="ignore"):
+            try:
+                nll, recorded = nll_batch(flow, q_batch, cfg, rng, record=True)
+            except DivergenceError:
+                diverged = True
+                break
+            except IntegrationError:
+                skipped += 1
+                continue
+            if not np.isfinite(nll):
+                diverged = True
+                break
+            grad = recorded.grad_flat()
+            # the sweep freed the record; nothing else of this batch may
+            # outlive the epoch either
+            del recorded
+            new_params = opt.step(flow.params, grad)
         if not np.all(np.isfinite(new_params)):
             diverged = True
             break

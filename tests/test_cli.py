@@ -151,6 +151,7 @@ def test_train_missing_config_is_usage_error(tmp_path):
     assert main(["train", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_is_numeric_error(tmp_path, capsys):
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps({
@@ -160,9 +161,7 @@ def test_train_divergence_is_numeric_error(tmp_path, capsys):
             "learning_rate": 1e4,  # guaranteed blow-up
         },
     }))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(["train", str(path), "--out", str(tmp_path / "out")])
+    rc = main(["train", str(path), "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
     # the kept checkpoint still loads and is finite
@@ -237,6 +236,7 @@ def test_logz_rk4_on_dense_k1_checkpoint(tmp_path, capsys, method):
      ("logz", ["--method", "taylor-verlet"], "taylor-verlet")],
     ids=["logz", "weights-hist", "benchmark", "logz-partial"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods,
                                               failing):
     # order-3 flow whose q^2 and q^3 terms overflow in every rk4 trajectory
@@ -246,9 +246,8 @@ def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods
     flow.q_nets[2].net.biases[-1][:] = 1e3
     flow.q_nets[3].net.biases[-1][:] = 1e3
     save_checkpoint(tmp_path / "o3.txt", flow)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main([command, str(tmp_path / "o3.txt"), "--samples", "16",
-                   "--steps", "10", *methods])
+    rc = main([command, str(tmp_path / "o3.txt"), "--samples", "16",
+               "--steps", "10", *methods])
     assert rc == 3
     captured = capsys.readouterr()
     assert "numeric failure" in captured.err and f"[{failing}]" in captured.err

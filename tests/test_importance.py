@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from verletflow import IntegratorConfig, VerletFlow
-from verletflow.densities import UnnormalizedDensity, standard_normal
+from verletflow import IntegratorConfig, PhaseState, VerletFlow, integrate
+from verletflow.densities import (
+    UnnormalizedDensity,
+    standard_normal,
+    standard_normal_logpdf,
+)
 import verletflow.importance as importance
 from verletflow.importance import (
     SD_BATCHES,
     estimate_logZ,
     log_mean_exp,
     log_weights,
+    rademacher_probes,
+    source_rows,
 )
 
 
@@ -35,6 +41,28 @@ def test_draw_source_is_batch_independent():
     assert np.array_equal(x[:4], importance.source_rows(4, 0, 4, 5))
     # a row depends on (seed, index) only, not on where its range starts
     assert np.array_equal(x[3:7], importance.source_rows(4, 3, 7, 5))
+
+
+def test_direct_integration_takes_the_estimators_probes():
+    # the estimator is the one source of probes: a direct call given sample
+    # i's draw and probes reproduces sample i's model log-density, and the
+    # integrator draws none of its own
+    flow = VerletFlow(2, 2, 1, hidden=[8], seed=4)
+    cfg = IntegratorConfig(steps=2, seed=5, method="rk4-hutchinson",
+                           hutchinson_probes=2)
+    x0 = source_rows(5, 1024, 2048, 4)
+    eps = rademacher_probes(5, range(1024, 2048), 2, 4)
+    state = PhaseState(q=x0[:, :2], p=x0[:, 2:], t=0.0)
+    res = integrate(flow, state, cfg, hutchinson_eps=eps)
+    *_, log_model = next(importance.push_blocks(flow, cfg, 1024, 2048))
+    assert (standard_normal_logpdf(x0) + res.dlogp).tobytes() == log_model.tobytes()
+    with pytest.raises(ValueError, match="probe bank"):
+        integrate(flow, state, cfg)
+    with pytest.raises(ValueError, match="probe bank"):  # one sample's shape
+        integrate(flow, state, cfg, hutchinson_eps=eps[:1])
+    with pytest.raises(ValueError, match="probe bank"):
+        integrate(flow, state, IntegratorConfig(steps=2, method="rk4-exact"),
+                  hutchinson_eps=eps)
 
 
 def test_identity_flow_weights_are_exact(identity_flow, normal_target):
@@ -127,17 +155,18 @@ def test_invalid_weights_are_nan_and_counted(normal_target):
         assert np.isclose(rep.logZ, logsumexp(finite) - np.log(finite.size))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
 def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
     # order-3 flow whose q^2 and q^3 terms overflow inside an RK4 stage:
-    # the failing samples come back NaN instead of the estimate raising
+    # the failing samples come back NaN, without a warning, instead of the
+    # estimate raising
     flow = VerletFlow(2, 2, order=3, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 100.0
     flow.q_nets[3].net.biases[-1][:] = 100.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = estimate_logZ(
-            flow, normal_target, 64, IntegratorConfig(steps=10, seed=0, method=method)
-        )
+    rep = estimate_logZ(
+        flow, normal_target, 64, IntegratorConfig(steps=10, seed=0, method=method)
+    )
     assert rep.invalid_count > 0
     assert np.isnan(rep.log_weights).sum() == rep.invalid_count
 

@@ -3,6 +3,7 @@ the recorded reverse sweep, cross-method agreement, and probe/seed
 plumbing."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 import verletflow.integrators as integ
 from verletflow.flow import DENSE, DIAGONAL, PhaseState, VerletFlow
+from verletflow.importance import rademacher_probes
 from verletflow.integrators import (
     IntegrationError,
     IntegratorConfig,
     integrate,
-    rademacher_probes,
     rk4_integrate,
     verlet_integrate,
     verlet_vjp,
@@ -31,6 +32,17 @@ def linear_q_flow(s1):
     flow = VerletFlow(len(s1), len(s1), order=1, hidden=[4], seed=0).zero_()
     flow.q_nets[1].net.biases[-1][:] = np.asarray(s1, dtype=np.float64)
     return flow
+
+
+def probes_for(state, cfg):
+    """The rk4-hutchinson probe bank of a state whose rows are samples
+    0..n-1 under ``cfg.seed`` (None for the other methods)."""
+    if cfg.method != "rk4-hutchinson":
+        return None
+    lead = state.q.shape[:-1]
+    bank = rademacher_probes(cfg.seed, range(math.prod(lead)),
+                             cfg.hutchinson_probes, state.d_q + state.d_p)
+    return bank.reshape(lead + bank.shape[1:])
 
 
 # -- config validation -------------------------------------------------------
@@ -76,7 +88,8 @@ def test_identity_flow_is_noop(identity_flow, rng):
     p = rng.standard_normal(2)
     state = PhaseState(q=q, p=p, t=0.0)
     for method in ("taylor-verlet", "rk4-exact", "rk4-hutchinson"):
-        res = integrate(identity_flow, state, IntegratorConfig(steps=10, method=method))
+        cfg = IntegratorConfig(steps=10, method=method)
+        res = integrate(identity_flow, state, cfg, probes_for(state, cfg))
         assert np.allclose(res.state.q, q, atol=1e-15)
         assert np.allclose(res.state.p, p, atol=1e-15)
         assert abs(float(np.asarray(res.dlogp))) < 1e-14
@@ -288,9 +301,8 @@ def test_hutchinson_and_exact_share_trajectories(small_flow, rng):
     re = rk4_integrate(
         small_flow, state, IntegratorConfig(steps=20, method="rk4-exact", seed=9)
     )
-    rh = rk4_integrate(
-        small_flow, state, IntegratorConfig(steps=20, method="rk4-hutchinson", seed=9)
-    )
+    cfg = IntegratorConfig(steps=20, method="rk4-hutchinson", seed=9)
+    rh = rk4_integrate(small_flow, state, cfg, probes_for(state, cfg))
     assert np.array_equal(re.state.q, rh.state.q)
     assert np.array_equal(re.state.p, rh.state.p)
     assert not np.array_equal(np.asarray(re.dlogp), np.asarray(rh.dlogp))
@@ -304,16 +316,10 @@ def test_hutchinson_unbiased_over_probes(small_flow, rng):
             small_flow, state, IntegratorConfig(steps=10, method="rk4-exact")
         ).dlogp
     )
-    ests = [
-        float(
-            rk4_integrate(
-                small_flow,
-                state,
-                IntegratorConfig(steps=10, method="rk4-hutchinson", seed=s),
-            ).dlogp
-        )
-        for s in range(200)
-    ]
+    cfgs = [IntegratorConfig(steps=10, method="rk4-hutchinson", seed=s)
+            for s in range(200)]
+    ests = [float(rk4_integrate(small_flow, state, cfg, probes_for(state, cfg)).dlogp)
+            for cfg in cfgs]
     spread = np.std(ests)
     assert abs(np.mean(ests) - exact) < 4 * spread / np.sqrt(len(ests)) + 1e-6
 
@@ -360,7 +366,10 @@ def test_exact_trace_matches_closed_form(order, d_q, d_p, rows, dense, seed):
                                        axis1=-2, axis2=-1)
             else:
                 want = want + (k * s * x ** (k - 1)).sum(axis=-1)
-    got = integ._exact_trace(flow, state, record)
+    bank, draws = integ._seed_bank(IntegratorConfig(method="rk4-exact"),
+                                   state.q, state.p, None)
+    assert draws == 1
+    got = integ._trace(flow, state, record, bank)
     assert np.shape(got) == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -372,10 +381,9 @@ def test_hutchinson_trace_is_probe_quadratic_form(order, d_q, d_p, rows, dense,
     """The estimate is the probe mean of eps^T J eps, with J built row by
     row from the field VJP."""
     flow, state, record, rng = _random_field(order, d_q, d_p, rows, dense, seed)
-    n = 1 if rows is None else rows
-    bank = rademacher_probes(seed % 997, range(n), probes, d_q + d_p)
-    if rows is None:
-        bank = bank[0]
+    cfg = IntegratorConfig(method="rk4-hutchinson", hutchinson_probes=probes,
+                           seed=seed % 997)
+    probes_bank = probes_for(state, cfg)
     lead = state.q.shape[:-1]
     rows_j = []
     for i in range(d_q + d_p):
@@ -384,9 +392,11 @@ def test_hutchinson_trace_is_probe_quadratic_form(order, d_q, d_p, rows, dense,
         gq, gp = flow.field_vjp(state, record, e[..., :d_q], e[..., d_q:])
         rows_j.append(np.concatenate([gq, gp], axis=-1))
     jac = np.stack(rows_j, axis=-2)  # (..., out, in)
-    eps = bank.astype(np.float64)  # (..., probes, d)
+    eps = probes_bank.astype(np.float64)  # (..., probes, d)
     want = np.einsum("...ja,...ab,...jb->...j", eps, jac, eps).mean(axis=-1)
-    got = integ._hutchinson_trace(flow, state, record, bank)
+    bank, draws = integ._seed_bank(cfg, state.q, state.p, probes_bank)
+    assert draws == probes
+    got = integ._trace(flow, state, record, bank) / draws
     assert np.shape(got) == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -396,7 +406,8 @@ def test_rk4_runs_dense_k1_flows(method, rng):
     flow = VerletFlow(2, 2, order=1, hidden=[4], seed=3, k1_form=DENSE)
     state = PhaseState(q=rng.standard_normal((5, 2)),
                        p=rng.standard_normal((5, 2)), t=0.0)
-    res = rk4_integrate(flow, state, IntegratorConfig(steps=4, method=method))
+    cfg = IntegratorConfig(steps=4, method=method)
+    res = rk4_integrate(flow, state, cfg, probes_for(state, cfg))
     assert np.all(np.isfinite(res.state.q)) and np.all(np.isfinite(res.dlogp))
 
 
@@ -410,6 +421,23 @@ def test_field_evaluation_counters(small_flow, rng):
     assert rv.field_evaluations == 8 * 2 * 2
     rr = rk4_integrate(small_flow, state, IntegratorConfig(steps=8, method="rk4-exact"))
     assert rr.field_evaluations == 4 * 8
+
+
+@pytest.mark.parametrize("method,probes,vjps",
+                         [("rk4-exact", 1, 2), ("rk4-hutchinson", 1, 1),
+                          ("rk4-hutchinson", 3, 3)],
+                         ids=["exact", "hutchinson-1", "hutchinson-3"])
+def test_rk4_stage_vjp_count(small_flow, rng, monkeypatch, method, probes, vjps):
+    # a stage takes one field VJP per side (exact) or per probe (Hutchinson)
+    calls = []
+    real = VerletFlow.field_vjp
+    monkeypatch.setattr(VerletFlow, "field_vjp",
+                        lambda *args: calls.append(1) or real(*args))
+    state = PhaseState(q=rng.standard_normal((3, 2)),
+                       p=rng.standard_normal((3, 2)), t=0.0)
+    cfg = IntegratorConfig(steps=1, method=method, hutchinson_probes=probes)
+    rk4_integrate(small_flow, state, cfg, probes_for(state, cfg))
+    assert len(calls) == 4 * vjps
 
 
 def test_singularity_becomes_integration_error():
@@ -429,17 +457,19 @@ def test_rk4_stage_overflow_is_integration_error(method):
     flow = VerletFlow(1, 1, order=3, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 1.0
     flow.q_nets[3].net.biases[-1][:] = 1.0
+    state = PhaseState(q=[1e100], p=[0.0], t=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as exc:
-            rk4_integrate(flow, PhaseState(q=[1e100], p=[0.0], t=0.0), cfg)
+            rk4_integrate(flow, state, cfg, probes_for(state, cfg))
     assert exc.value.step == 0
     # a finite field that carries the last stage's input past the float range
     flow = VerletFlow(1, 1, order=0, hidden=[2], seed=0).zero_()
     flow.q_nets[0].net.biases[-1][:] = 1e308
+    state = PhaseState(q=[1e308], p=[0.0], t=0.0)
+    cfg = IntegratorConfig(steps=1, method=method)
     with np.errstate(over="ignore"):
         with pytest.raises(IntegrationError, match="non-finite phase-space") as exc:
-            rk4_integrate(flow, PhaseState(q=[1e308], p=[0.0], t=0.0),
-                          IntegratorConfig(steps=1, method=method))
+            rk4_integrate(flow, state, cfg, probes_for(state, cfg))
     assert exc.value.step == 0
 
 
@@ -465,19 +495,11 @@ def test_more_probes_reduce_variance(small_flow, rng):
     )
 
     def spread(probes):
-        vals = [
-            float(
-                rk4_integrate(
-                    small_flow,
-                    state,
-                    IntegratorConfig(
-                        steps=10, method="rk4-hutchinson",
-                        hutchinson_probes=probes, seed=s,
-                    ),
-                ).dlogp
-            )
-            for s in range(60)
-        ]
+        cfgs = [IntegratorConfig(steps=10, method="rk4-hutchinson",
+                                 hutchinson_probes=probes, seed=s)
+                for s in range(60)]
+        vals = [float(rk4_integrate(small_flow, state, cfg, probes_for(state, cfg)).dlogp)
+                for cfg in cfgs]
         return np.sqrt(np.mean((np.array(vals) - exact) ** 2))
 
     assert spread(8) < spread(1)
@@ -491,7 +513,8 @@ def test_rk4_traces_leave_no_cyclic_garbage(small_flow, rng, method):
     gc.collect()
     gc.disable()
     try:
-        rk4_integrate(small_flow, state, IntegratorConfig(steps=2, method=method))
+        cfg = IntegratorConfig(steps=2, method=method)
+        rk4_integrate(small_flow, state, cfg, probes_for(state, cfg))
         assert gc.collect() == 0
     finally:
         gc.enable()

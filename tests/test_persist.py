@@ -176,6 +176,16 @@ def test_config_validation_errors(tmp_path):
             Config.from_dict({"eval": ev})
     with pytest.raises(ConfigError):
         Config.from_dict({"train": {"steps": 0}})
+    # target parameters are JSON numbers, as every other config number is
+    gmm = {"type": "gmm", "weights": [0.5, 0.5], "means": [[0.0], [1.0]],
+           "variances": [1, 1]}
+    for target in ({"type": "trimodal", "variance": True},
+                   {"logZ_true": "0.5"},
+                   {**gmm, "weights": ["0.5", "0.5"]},
+                   {**gmm, "variances": [True, 1]}):
+        with pytest.raises(ConfigError, match="must be a number"):
+            Config.from_dict({"dims": {"d_q": 1}, "target": target})
+    Config.from_dict({"dims": {"d_q": 1}, "target": gmm})  # integers are numbers
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):

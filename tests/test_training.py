@@ -194,13 +194,10 @@ def test_train_accepts_existing_flow():
     assert not np.array_equal(before, flow.get_params())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_numeric_blowup_aborts_with_finite_params():
-    import warnings
-
     target = default_trimodal()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        flow, rep = train(target, tiny_cfg(epochs=8, learning_rate=1e4))
+    flow, rep = train(target, tiny_cfg(epochs=8, learning_rate=1e4))
     assert rep.diverged
     assert np.all(np.isfinite(flow.get_params()))
 
