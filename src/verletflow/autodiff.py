@@ -11,8 +11,6 @@ generic autodiff.  Everything runs in float64.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -23,18 +21,6 @@ import numpy as np
 def grad(output, seed, wrt):
     """Retired tape reverse pass; nothing calls it."""
     raise NotImplementedError("the closure tape is retired")
-
-
-def workspace(nets, rows):
-    """Two flat float64 buffers, each large enough for one hidden layer of
-    any of ``nets`` at ``rows`` rows, for ``Mlp.__call__(..., work=)``.
-
-    Reusing them across a run of net calls keeps the large activations off
-    the allocator, whose trimming would otherwise hand the heap top back to
-    the kernel and fault it in again on every call.
-    """
-    width = max((n for net in nets for n in net.layer_sizes[1:-1]), default=0)
-    return np.empty(rows * width), np.empty(rows * width)
 
 
 def param_count(layer_sizes):
@@ -110,37 +96,35 @@ class Mlp(ParamVector):
     def out_dim(self):
         return self.layer_sizes[-1]
 
-    def __call__(self, x, acts=None, work=None):
+    def __call__(self, x, acts=None):
         """Plain numpy forward pass; ``x`` is ``(in_dim,)`` or ``(n, in_dim)``.
 
-        ``acts``, if given, is a list that receives the input of every
-        layer (``x`` and each hidden activation), which ``vjp`` reads back.
-        ``work``, if given, is a ``workspace`` pair the hidden layers
-        alternate through instead of allocating; the output is always a
-        fresh array.  A recorded call cannot use one, since its
-        activations must outlive the call.
+        ``acts``, if given, is the list that holds the input of every layer
+        (``x`` and each hidden activation), which ``vjp`` reads back.  A
+        hidden layer overwrites the list's array in its place when the
+        shapes match and takes a fresh one otherwise: a new list is a
+        record, and a list passed again a workspace that keeps the large
+        activations off the allocator.  The output is always fresh.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.in_dim:
             raise ValueError(
                 f"input dim {x.shape[-1]} != first layer size {self.in_dim}"
             )
-        if acts is not None and work is not None:
-            raise ValueError("recorded activations cannot live in a workspace")
-        if acts is not None:
-            acts.append(x)
+        if acts is None:
+            acts = []
+        del acts[len(self.weights):]
+        acts[:1] = [x]
         # bias and tanh in place on the matmul result
-        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1]), 1):
             shape = x.shape[:-1] + (w.shape[0],)
-            if work is None:
-                out = np.empty(shape)
-            else:
-                out = work[i % 2][: math.prod(shape)].reshape(shape)
-            x = np.matmul(x, w.T, out=out)
+            if i == len(acts):
+                acts.append(np.empty(shape))
+            elif acts[i].shape != shape:
+                acts[i] = np.empty(shape)
+            x = np.matmul(x, w.T, out=acts[i])
             x += b
             np.tanh(x, out=x)
-            if acts is not None:
-                acts.append(x)
         x = x @ self.weights[-1].T
         x += self.biases[-1]
         return x

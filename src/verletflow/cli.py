@@ -1,7 +1,8 @@
 """Command-line surface: training, log Z estimation, weight histograms,
 method benchmarks, sampling and self-check suites.
 
-Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 numeric failure.
+Exit codes: 0 ok, 1 check failure, 2 usage/config error or unwritable output,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,6 +42,17 @@ def non_negative_int(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
+
+
+def check_output(path, directory=False):
+    """Raise ``OSError`` unless ``path`` can be written, creating nothing: a
+    directory is made with its missing parents, a file's must exist."""
+    path = Path(path)
+    if path.exists() and path.is_dir() != directory:
+        raise OSError(f"{path} exists and is {'not ' if directory else ''}a directory")
+    parent = next(d for d in (path, *path.parents) if d.exists()) if directory else path.parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot write {path}: {parent} is not a writable directory")
 
 
 def cmd_train(args):
@@ -230,8 +243,7 @@ def cmd_sample(args):
         print(f"numeric failure: {failed} of {args.n} samples did not integrate",
               file=sys.stderr)
         return EXIT_NUMERIC
-    path = args.csv or "samples.csv"
-    with open(path, "w", newline="") as fh:
+    with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = [f"q{i}" for i in range(flow.d_q)]
         header += [f"p{i}" for i in range(flow.d_p)]
@@ -241,7 +253,7 @@ def cmd_sample(args):
             writer.writerow(
                 [format(v, ".12g") for v in (*qi, *pi)] + [format(ld, ".12g")]
             )
-    print(f"wrote {args.n} samples to {path}")
+    print(f"wrote {args.n} samples to {args.csv}")
     return EXIT_OK
 
 
@@ -286,11 +298,11 @@ def build_parser():
             p.add_argument("--method", choices=METHODS, default=None)
         p.set_defaults(func=cmd_estimate, write=write)
 
-    p = sub.add_parser("sample", parents=[seed, csv_out],
-                       help="push source samples forward")
+    p = sub.add_parser("sample", parents=[seed], help="push source samples forward")
     p.add_argument("checkpoint")
     p.add_argument("-n", type=positive_int, default=1000)
     p.add_argument("--steps", type=positive_int, default=None)
+    p.add_argument("--csv", default="samples.csv")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="run a property suite")
@@ -300,9 +312,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        # an output that cannot be created is rejected before the work starts
+        for name, directory in (("out", True), ("csv", False), ("svg", False)):
+            if getattr(args, name, None):
+                check_output(getattr(args, name), directory)
+        return args.func(args)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -77,17 +77,14 @@ class CoefficientNet:
     form: str = DIAGONAL  # meaningful for order 1 only
     span: slice = None
 
-    def __call__(self, opposite, t, acts=None, work=None):
+    def __call__(self, opposite, t, acts=None):
         """Realize the coefficient at (opposite-variable, t); plain numpy.
-
-        ``acts`` and ``work`` are passed on to ``Mlp.__call__``: a list to
-        record the activations in, or a ``workspace`` to reuse.
-        """
+        The net's activations go to the list ``acts`` (see ``Mlp.__call__``)."""
         opposite = np.asarray(opposite, dtype=np.float64)
         x = np.empty(opposite.shape[:-1] + (opposite.shape[-1] + 1,))
         x[..., :-1] = opposite
         x[..., -1] = t
-        return self.net(x, acts, work)
+        return self.net(x, acts)
 
     def taped(self, opposite, t):
         """Retired tape placeholder (see ``autodiff.grad``)."""
@@ -147,17 +144,19 @@ class VerletFlow(ParamVector):
         """(dq/dt, dp/dt): per side, the sum over k = 0..order of the
         Taylor term s_k applied k-fold to the same-side variable.
 
-        The list ``record`` receives ``(coeff, acts)`` per (side, k),
-        q-side first and k ascending: the realized coefficient and its
-        net's layer inputs, for ``field_vjp``.
+        The list ``record`` holds ``(coeff, acts)`` per (side, k), q-side
+        first and k ascending: the realized coefficient and its net's layer
+        inputs, for ``field_vjp``.  A record passed again is refilled.
         """
         out = []
+        i = 0
         for side, x, opp in (("q", state.q, state.p), ("p", state.p, state.q)):
             terms = []
             for c in self.nets(side):
-                acts = []
+                acts = record[i][1] if i < len(record) else []
                 coeff = c(opp, state.t, acts)
-                record.append((coeff, acts))
+                record[i:i + 1] = [(coeff, acts)]
+                i += 1
                 terms.append(apply_coefficient(coeff, x, c.order, c.form))
             total = terms[0]
             for term in terms[1:]:

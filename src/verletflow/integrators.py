@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .autodiff import workspace
 from .flow import NumericError, PhaseState, VerletFlow
 
 TAYLOR_VERLET = "taylor-verlet"
@@ -95,7 +94,7 @@ class Substep:
 # Taylor-Verlet
 
 
-def _substeps(flow, q, p, t, tau, dlogp, record, work):
+def _substeps(flow, q, p, t, tau, dlogp, record, acts):
     """One Taylor-Verlet step at frozen time t, or its exact inverse.
 
     ``tau`` is the duration every substep applies, and its sign picks the
@@ -104,7 +103,7 @@ def _substeps(flow, q, p, t, tau, dlogp, record, work):
     each substep ``apply_step`` at ``tau = -d``.  Coefficients are
     re-evaluated from the current values, which equal the ones the forward
     pass saw because a same-side step never moves the opposite side.
-    ``work`` is the nets' activation workspace, or None.
+    ``acts`` is the run's activation list; a recorded run takes a new one.
     """
     forward = tau > 0
     orders = range(flow.order + 1) if forward else range(flow.order, -1, -1)
@@ -112,9 +111,9 @@ def _substeps(flow, q, p, t, tau, dlogp, record, work):
     for k in orders:
         for side in sides:
             x, opp = (q, p) if side == "q" else (p, q)
-            acts = [] if record is not None else None
+            acts = [] if record is not None else acts
             net = flow.nets(side)[k]
-            step = ops.OperatorStep(side, k, tau, net(opp, t, acts, work), net.form)
+            step = ops.OperatorStep(side, k, tau, net(opp, t, acts), net.form)
             x, logdet = ops.apply_step(step, x)
             dlogp = dlogp - logdet
             if side == "q":
@@ -132,8 +131,8 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
 
     ``t1 < t0`` runs the exact inverse of the forward integrator that maps
     t1 up to t0.  ``record``, if a list, receives one ``Substep`` per
-    substep for ``verlet_vjp``.  An unrecorded batch run gives every net
-    call one reused activation workspace.
+    substep for ``verlet_vjp``.  An unrecorded run passes one activation
+    list to all its net calls, which share ``hidden`` and so its arrays.
     """
     if cfg.method != TAYLOR_VERLET:
         raise ValueError(f"verlet_integrate got method {cfg.method!r}")
@@ -141,15 +140,13 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         raise ValueError(f"state.t={state.t} != cfg.t0={cfg.t0}")
     tau = cfg.tau
     q, p, dlogp = state.q, state.p, state.dlogp
-    work = None
-    if record is None and q.ndim == 2:
-        work = workspace([c.net for c in flow.q_nets + flow.p_nets], q.shape[0])
+    acts = []
     for i in range(cfg.steps):
         # a reverse step (tau < 0) undoes the forward step of duration -tau
         # that ran at frozen time t0 + (i + 1) * tau
         t = cfg.t0 + (i if tau > 0 else i + 1) * tau
         try:
-            q, p, dlogp = _substeps(flow, q, p, t, tau, dlogp, record, work)
+            q, p, dlogp = _substeps(flow, q, p, t, tau, dlogp, record, acts)
         except ops.SingularityError as err:
             raise IntegrationError(f"step {i}: {err}", step=i) from err
     try:
@@ -248,8 +245,8 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
                   hutchinson_eps=None):
     """Classic RK4 on (q, p, l) with dl/dt = -tr J of the field.
 
-    Each stage evaluates the field once, recording its coefficients and net
-    activations, and takes the trace with ``_trace`` over that record.
+    Each stage evaluates the field into the run's one record, refilled in
+    place, and takes the trace with ``_trace`` over that record.
     rk4-hutchinson takes its probe bank ``hutchinson_eps`` from the caller
     (``importance.rademacher_probes``) and rk4-exact takes none.  A
     non-finite stage input or field raises ``IntegrationError`` with the
@@ -264,13 +261,13 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     p = state.p.copy()
     ell = np.zeros(q.shape[:-1])
     bank, draws = _seed_bank(cfg, q, p, hutchinson_eps)
+    record = []  # one record for the run, refilled at every stage
 
     def deriv(qq, pp, t):
         try:
             st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
         except ValueError as err:  # a stage input overflowed
             raise NumericError(str(err)) from err
-        record = []
         fq, fp = flow.eval_field(st, record)
         return fq, fp, -(_trace(flow, st, record, bank) / draws)
 

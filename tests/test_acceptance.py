@@ -3,18 +3,22 @@
 Each test prints one ``ACCEPTANCE <n> PASS|FAIL`` line with its measured
 quantities.  The expensive artifacts (the trained reference flow and the
 three importance-sampling runs on it) are computed once per session; the
-trained checkpoint is cached under the pytest cache so iterative runs skip
-the ~3 minute training.  Reference-run magnitudes are recorded in
-docs/reference_run.md.
+trained checkpoint is cached under the pytest cache, keyed on the training
+config, the package sources and numpy's version, so iterative runs on
+unchanged code skip the ~3 minute training.  Reference-run magnitudes are
+recorded in docs/reference_run.md.
 """
 
 import csv
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import verletflow
 import verletflow.operators as ops
 from verletflow import (
     IntegratorConfig,
@@ -36,8 +40,15 @@ LOG2 = float(np.log(2.0))
 REFERENCE_TRAIN = dict(
     epochs=3000, batch_size=256, steps=20, seed=0, hidden_sizes=(64, 64, 64)
 )
+# keyed on the code too, so a cached checkpoint and wall time from other
+# sources or another numpy are never graded
+SOURCE_SHA256 = hashlib.sha256(b"".join(
+    path.read_bytes()
+    for path in sorted(Path(verletflow.__file__).parent.glob("*.py"))
+)).hexdigest()
 CACHE_KEY = "verletflow/reference-flow-" + "-".join(
-    f"{k}={v}" for k, v in sorted(REFERENCE_TRAIN.items())
+    [f"{k}={v}" for k, v in sorted(REFERENCE_TRAIN.items())]
+    + [f"numpy={np.__version__}", f"src={SOURCE_SHA256}"]
 )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verletflow.autodiff import Mlp, workspace
+from verletflow.autodiff import Mlp
 
 REL_TOL = 1e-5
 
@@ -52,19 +52,22 @@ def test_mlp_forward_matches_plain(rng):
 
 
 def test_mlp_workspace_matches_fresh_bits(rng):
-    """Hidden layers of unequal widths alternating through one workspace,
-    reused across calls of two nets and two row counts, give the bits of
-    fresh arrays; the output is never a workspace view."""
+    """Hidden layers of unequal widths in one list, reused across calls of
+    two nets and two row counts, give the bits of fresh arrays; a call whose
+    shapes match overwrites the list's arrays, and the output is never one
+    of them."""
     nets = [Mlp([3, 16, 8, 32, 2], seed=2), Mlp([3, 4, 2], seed=3)]
-    work = workspace(nets, 50)
+    acts = []
     for rows in (50, 7, 50):
         for mlp in nets:
             x = rng.standard_normal((rows, 3))
-            out = mlp(x, work=work)
+            out = mlp(x, acts)
             assert np.array_equal(out, mlp(x))
-            assert not any(np.shares_memory(out, buf) for buf in work)
-    with pytest.raises(ValueError, match="workspace"):
-        nets[0](x, [], work)
+            assert len(acts) == len(mlp.weights)
+            assert not any(np.shares_memory(out, a) for a in acts)
+    held = acts[1:]
+    nets[1](x, acts)
+    assert all(a is b for a, b in zip(acts[1:], held, strict=True))
 
 
 def test_mlp_gradient_vs_fd(rng, fd_grad):

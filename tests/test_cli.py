@@ -3,6 +3,7 @@ determinism, and exit codes (0 ok, 1 check failure, 2 usage, 3 numeric)."""
 
 import csv
 import json
+import os
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -39,6 +40,10 @@ def trained_dir(tiny_config, tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def files_under(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
 
 
 def without_wall_ms(rows):
@@ -205,7 +210,10 @@ def test_logz_reports_and_writes_artifacts(trained_dir, tiny_config, tmp_path, c
     assert any(el.tag.endswith("polyline") for el in root.iter())
 
 
-def test_logz_method_flag(trained_dir, capsys):
+def test_logz_method_flag(trained_dir, tmp_path, capsys, monkeypatch):
+    # without --csv or --svg, logz writes no file
+    monkeypatch.chdir(tmp_path)
+    before = files_under(tmp_path)
     rc = main(
         [
             "logz", str(trained_dir / "checkpoint.txt"),
@@ -215,6 +223,7 @@ def test_logz_method_flag(trained_dir, capsys):
     )
     assert rc == 0
     assert "logZ[rk4-exact]" in capsys.readouterr().out
+    assert files_under(tmp_path) == before
 
 
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
@@ -567,6 +576,53 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert main(["check", "operators"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["failures"]
+
+
+# -- unwritable outputs ------------------------------------------------------
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/run"], ids=["a-file", "under-a-file"])
+def test_train_unwritable_out_is_usage_error(tiny_config, tmp_path, capsys,
+                                             monkeypatch, out):
+    # rejected before training starts, leaving nothing behind
+    (tmp_path / "afile").write_text("")
+    before = files_under(tmp_path)
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained"))
+    assert main(["train", str(tiny_config), "--out", str(tmp_path / out)]) == 2
+    assert_one_error_line(capsys)
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c in ("logz", "benchmark", "weights-hist") for f in ("--csv", "--svg")]
+    + [("sample", "--csv")],
+)
+def test_output_in_missing_dir_is_usage_error(trained_dir, tmp_path, capsys, monkeypatch,
+                                              command, flag):
+    for work in ("estimate_logZ", "push_blocks"):
+        monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail("work started"))
+    before = files_under(tmp_path)
+    argv = [command, str(trained_dir / "checkpoint.txt"), flag,
+            str(tmp_path / "missing" / "out")]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_is_usage_error(trained_dir, capsys):
+    # /dev/full accepts the open and fails the write itself
+    argv = ["sample", str(trained_dir / "checkpoint.txt"), "-n", "5", "--steps", "2",
+            "--csv", "/dev/full"]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,31 @@ def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed, fd_grad):
     assert np.allclose(sp[1], -2 * zp, rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("order,form", [(0, "diagonal"), (1, "diagonal"),
+                                        (2, "diagonal"), (3, "diagonal"), (1, DENSE)],
+                         ids=["0", "1", "2", "3", "1-dense"])
+def test_eval_field_refills_a_record_in_place(order, form, rng):
+    """A record passed again keeps its lists and hidden arrays, and holds
+    the bits, and gives the field_vjp, of a fresh record at the new state."""
+    flow = VerletFlow(2, 3, order=order, hidden=[16, 8, 32], seed=order, k1_form=form)
+    first, second = (PhaseState(q=rng.standard_normal((6, 2)),
+                                p=rng.standard_normal((6, 3)), t=t) for t in (0.2, 0.7))
+    record, fresh = [], []
+    flow.eval_field(first, record)
+    held = [(acts, acts[1:]) for _, acts in record]
+    field = flow.eval_field(second, record)
+    for got, want in zip(field, flow.eval_field(second, fresh), strict=True):
+        assert np.array_equal(got, want)
+    for (coeff, acts), (lst, hidden), (coeff0, acts0) in zip(record, held, fresh, strict=True):
+        assert acts is lst and all(a is b for a, b in zip(acts[1:], hidden, strict=True))
+        assert np.array_equal(coeff, coeff0)
+        assert all(np.array_equal(a, b) for a, b in zip(acts, acts0, strict=True))
+    wq, wp = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
+    for got, want in zip(flow.field_vjp(second, record, wq, wp),
+                         flow.field_vjp(second, fresh, wq, wp), strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_zeroed_flow_field_vanishes(identity_flow, rng):
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.7)
     fq, fp = identity_flow.eval_field(state, [])

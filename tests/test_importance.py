@@ -185,6 +185,25 @@ def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
     assert np.allclose(lw, ref, rtol=0, atol=1e-12, equal_nan=True)
 
 
+@pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
+def test_rk4_refilled_record_matches_fresh_records(normal_target, method, monkeypatch):
+    """rk4_integrate refills one record at every stage; clearing it first,
+    so every stage records afresh, gives the same weights byte for byte
+    over a full block and a tail."""
+    flow = VerletFlow(2, 2, order=2, hidden=[16, 8, 32], seed=4)
+    cfg = IntegratorConfig(steps=5, method=method, hutchinson_probes=2, seed=3)
+    refilled = log_weights(flow, normal_target, 1100, cfg)
+    eval_field = VerletFlow.eval_field
+
+    def fresh(self, state, record):
+        record.clear()
+        return eval_field(self, state, record)
+
+    monkeypatch.setattr(VerletFlow, "eval_field", fresh)
+    assert np.isfinite(refilled).all()
+    assert refilled.tobytes() == log_weights(flow, normal_target, 1100, cfg).tobytes()
+
+
 def test_estimate_rejects_tiny_n(identity_flow, normal_target):
     with pytest.raises(ValueError):
         estimate_logZ(identity_flow, normal_target, 1, IntegratorConfig(steps=2))
@@ -194,7 +213,7 @@ def test_log_weights_speed_does_not_depend_on_heap_history(fresh_python):
     # in a fresh interpreter no earlier large allocation has raised the
     # allocator's trim threshold, so 512 KiB activations allocated per net
     # call would be handed back to the kernel and faulted in again on every
-    # call (~12k minor faults here); the reused workspace takes a few hundred
+    # call (~12k minor faults here); the reused activation list takes a few hundred
     out = fresh_python(
         "import resource\n"
         "from verletflow import IntegratorConfig, VerletFlow\n"

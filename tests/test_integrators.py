@@ -172,9 +172,9 @@ def test_roundtrip_higher_order(rng):
 @pytest.mark.parametrize("rows", [1024, 37], ids=["block", "tail"])
 @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)], ids=["fwd", "rev"])
 def test_workspace_run_matches_recorded_bits(order, rows, t0, t1):
-    # an unrecorded batch run reuses one activation workspace; a recorded
-    # run allocates every activation, so any aliasing would show as a bit
-    # difference between the two
+    # an unrecorded run passes one activation list to all its net calls; a
+    # recorded run gives each substep a new one, so any aliasing would show
+    # as a bit difference between the two
     flow = VerletFlow(2, 3, order, hidden=[16, 8, 32], seed=order)
     for side in ("q", "p"):
         for c in flow.nets(side)[2:]:
