@@ -243,7 +243,7 @@ def _trace(flow, state, record, bank):
 
 def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
                   hutchinson_eps=None):
-    """Classic RK4 on (q, p, l) with dl/dt = -tr J of the field.
+    """Classic RK4 on (q, p, l) from ``state.dlogp`` with dl/dt = -tr J.
 
     Each stage evaluates the field into the run's one record, refilled in
     place, and takes the trace with ``_trace`` over that record.
@@ -259,7 +259,7 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     tau = cfg.tau
     q = state.q.copy()
     p = state.p.copy()
-    ell = np.zeros(q.shape[:-1])
+    ell = np.zeros(q.shape[:-1]) + state.dlogp
     bank, draws = _seed_bank(cfg, q, p, hutchinson_eps)
     record = []  # one record for the run, refilled at every stage
 

@@ -42,6 +42,45 @@ class OperatorStep:
 # ---------------------------------------------------------------------------
 # closed-form updates
 
+# Pade-13 coefficients b_0..b_13 and the 1-norm up to which the approximant
+# needs no scaling (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4))
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+          16380.0, 182.0, 1.0)
+THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """Matrix exponential of a ``(d, d)`` matrix or a stack ``(..., d, d)``:
+    the Pade-13 approximant with scaling and squaring, the scaling exponent
+    chosen per matrix from its 1-norm.  A matrix with a non-finite 1-norm
+    takes no squarings and comes out NaN; the rest of the stack is
+    unaffected."""
+    a = np.asarray(a, dtype=np.float64)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)[..., None, None]
+    finite = np.isfinite(norm)
+    # a non-finite norm must not reach the integer cast
+    norm = np.maximum(np.where(finite, norm, 0.0), THETA13)
+    s = np.ceil(np.log2(norm / THETA13)).astype(int)
+    a = np.ldexp(np.where(finite, a, 0.0), -s)
+    b = PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    ident = np.eye(a.shape[-1])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    # squarings run while any matrix needs one; a finished matrix squared
+    # again may overflow, and np.where drops that value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(s.max(initial=0)):
+            r = np.where(s > i, r @ r, r)
+    return np.where(finite, r, np.nan)
+
 
 def apply_step(step: OperatorStep, x):
     """``(y, logdet)``: the closed-form update of x and its per-sample
@@ -49,8 +88,8 @@ def apply_step(step: OperatorStep, x):
 
     * order 0 translates, ``x + tau*s``, and preserves volume;
     * order 1 scales, ``exp(tau*s) x`` with log-det ``tr(tau*s)``: elementwise
-      in the diagonal form, a true matrix exponential (``scipy.linalg.expm``)
-      in the dense form;
+      in the diagonal form, a true matrix exponential (``expm``) in the
+      dense form;
     * order k >= 2 solves dx/dt = s * x^k componentwise (below).
     """
     tau, k = step.tau, step.order
@@ -61,10 +100,6 @@ def apply_step(step: OperatorStep, x):
     if k == 1:
         if step.form == "dense":
             mats = s.reshape(s.shape[:-1] + (x.shape[-1],) * 2)
-            # imported here: scipy.linalg adds ~80 ms to the package import,
-            # and only the dense form needs it
-            from scipy.linalg import expm
-
             y = np.einsum("...ij,...j->...i", expm(tau * mats), x)
             return y, tau * np.trace(mats, axis1=-2, axis2=-1)
         return np.exp(tau * s) * x, tau * s.sum(axis=-1)
@@ -132,8 +167,6 @@ def step_vjp(step: OperatorStep, x, y, gy, gl):
             # y = E x with E = expm(A), A = tau*M: g_x = E^T gy and
             # g_M = tau*(L(A^T, gy x^T) + gl*I), L expm's Frechet derivative;
             # expm([[A^T, gy x^T], [0, A^T]]) = [[E^T, L], [0, E^T]] gives both
-            from scipy.linalg import expm
-
             d = x.shape[-1]
             blk = np.zeros(gy.shape[:-1] + (2 * d, 2 * d))
             blk[..., :d, :d] = blk[..., d:, d:] = tau * np.swapaxes(

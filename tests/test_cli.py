@@ -641,28 +641,25 @@ def test_unread_flag_is_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy(fresh_python):
-    # scipy is needed only by dense k=1 steps, which import it lazily
-    out = fresh_python(
-        "import sys, verletflow.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    assert out.strip() == "[]"
-
-
-def test_diagonal_training_step_loads_no_scipy(fresh_python):
-    # the dense step and its VJP import scipy; a diagonal batch and its
-    # gradient must not
+def test_library_loads_no_scipy(fresh_python):
+    # the package runs on numpy alone: importing the CLI, a diagonal and a
+    # dense training batch with their gradients, and dense log-weights
     out = fresh_python(
         "import sys, numpy as np\n"
+        "import verletflow.cli\n"
         "from verletflow import VerletFlow\n"
         "from verletflow.densities import default_trimodal\n"
+        "from verletflow.importance import log_weights\n"
+        "from verletflow.integrators import IntegratorConfig\n"
         "from verletflow.training import TrainConfig, nll_batch\n"
         "cfg = TrainConfig(batch_size=16, steps=2, hidden_sizes=(4,))\n"
-        "flow = VerletFlow(2, 2, 1, hidden=[4])\n"
-        "q = default_trimodal().sample(16, seed=0)\n"
-        "_, rec = nll_batch(flow, q, cfg, np.random.default_rng(0), record=True)\n"
-        "assert np.any(rec.grad_flat() != 0)\n"
+        "target = default_trimodal()\n"
+        "q = target.sample(16, seed=0)\n"
+        "for form in ('diagonal', 'dense'):\n"
+        "    flow = VerletFlow(2, 2, 1, hidden=[4], k1_form=form)\n"
+        "    _, rec = nll_batch(flow, q, cfg, np.random.default_rng(0), record=True)\n"
+        "    assert np.any(rec.grad_flat() != 0)\n"
+        "assert np.all(np.isfinite(log_weights(flow, target, 8, IntegratorConfig(steps=2))))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert out.strip() == "[]"

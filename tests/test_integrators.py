@@ -131,19 +131,23 @@ def test_linear_flow_partial_interval():
 
 
 def test_forward_reverse_roundtrip(small_flow, rng):
+    # the reverse run starts from the forward run's dlogp, so every method
+    # must carry the incoming log-density change; Verlet inverts exactly,
+    # RK4 to its truncation error
     q = rng.standard_normal((6, 2))
     p = rng.standard_normal((6, 2))
-    fwd = verlet_integrate(
-        small_flow, PhaseState(q=q, p=p, t=0.0), IntegratorConfig(steps=37)
-    )
-    back = verlet_integrate(
-        small_flow,
-        fwd.state.with_(dlogp=fwd.dlogp),
-        IntegratorConfig(t0=1.0, t1=0.0, steps=37),
-    )
-    assert np.abs(back.state.q - q).max() < 1e-10
-    assert np.abs(back.state.p - p).max() < 1e-10
-    assert np.abs(np.asarray(back.dlogp)).max() < 1e-10
+    state = PhaseState(q=q, p=p, t=0.0)
+    for method, tol in (("taylor-verlet", 1e-10), ("rk4-exact", 1e-9),
+                        ("rk4-hutchinson", 1e-9)):
+        fwd_cfg = IntegratorConfig(steps=37, method=method)
+        fwd = integrate(small_flow, state, fwd_cfg, probes_for(state, fwd_cfg))
+        assert np.abs(fwd.dlogp).min() > 1e-2
+        back_cfg = IntegratorConfig(t0=1.0, t1=0.0, steps=37, method=method)
+        back = integrate(small_flow, fwd.state.with_(dlogp=fwd.dlogp), back_cfg,
+                         probes_for(state, back_cfg))
+        assert np.abs(back.state.q - q).max() < tol
+        assert np.abs(back.state.p - p).max() < tol
+        assert np.abs(np.asarray(back.dlogp)).max() < tol
 
 
 def test_roundtrip_higher_order(rng):

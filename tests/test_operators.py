@@ -6,6 +6,8 @@ contraction for the sparse higher-order form, and scipy.linalg.expm for the
 dense matrix exponential.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -88,6 +90,64 @@ def test_order1_dense_batch_and_inverse(rng):
     assert np.allclose(back, x, atol=1e-12)
     assert np.allclose(ld + ld_b, 0.0, atol=1e-13)
     assert ld.shape == (n,)
+
+
+# -- the matrix exponential -------------------------------------------------
+
+
+def norm1(m):
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+def stack_with_norms(rng, d, norms):
+    """Random (len(norms), d, d) matrices scaled to the given 1-norms."""
+    m = rng.standard_normal((len(norms), d, d))
+    return m * (np.asarray(norms) / norm1(m))[:, None, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_expm_matches_scipy_across_scalings(d, rng):
+    # 1-norms below and above theta_13 in one call: the matrices take 0 to
+    # 3 squarings, each its own
+    m = stack_with_norms(rng, d, np.geomspace(0.01, 40.0, 12))
+    assert norm1(m).min() < ops.THETA13 < norm1(m).max()
+    e = ops.expm(m)
+    for mi, ei in zip(m, e):
+        ref = scipy.linalg.expm(mi)
+        # the difference is mostly scipy's error: against 40-digit
+        # arithmetic at entry sd 3, scipy reads up to 1.1e-12, this 6.7e-15
+        assert np.abs(ei - ref).max() <= 1e-11 * np.abs(ref).max()
+        # a single (d, d) input gives the stack's bits
+        assert np.array_equal(ops.expm(mi), ei)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_expm_inverse_and_diagonal_closed_form(d, rng):
+    m = stack_with_norms(rng, d, np.geomspace(0.1, 40.0, 8))
+    e, e_inv = ops.expm(m), ops.expm(-m)
+    err = np.abs(e @ e_inv - np.eye(d)).max(axis=(1, 2))
+    assert np.all(err <= 1e-13 * norm1(e) * norm1(e_inv))
+    diag = rng.uniform(-5.0, 5.0, size=(8, d))
+    ref = np.exp(diag)[..., None] * np.eye(d)
+    assert np.allclose(ops.expm(diag[..., None] * np.eye(d)), ref, rtol=1e-13, atol=0)
+
+
+def test_expm_non_finite_matrices_take_no_squarings():
+    # a NaN or inf 1-norm must not reach the integer cast of the scaling
+    # exponent (an invalid cast, and on some platforms ~2^31 squarings)
+    m = np.zeros((4, 2, 2))
+    m[0, 0, 1] = np.nan
+    m[1, 1, 0] = np.inf
+    w = 1e6  # 18 squarings of a rotation generator
+    m[2] = [[0.0, w], [-w, 0.0]]
+    m[3] = [[0.3, -1.2], [0.4, 0.1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = ops.expm(m)
+    assert np.all(np.isnan(e[:2]))
+    rot = np.array([[np.cos(w), np.sin(w)], [-np.sin(w), np.cos(w)]])
+    assert np.abs(e[2] - rot).max() < 1e-8
+    assert np.array_equal(e[3], ops.expm(m[3]))
 
 
 # -- sparse higher orders ----------------------------------------------------
