@@ -641,28 +641,44 @@ def test_unread_flag_is_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_library_loads_no_scipy(fresh_python):
-    # the package runs on numpy alone: importing the CLI, a diagonal and a
-    # dense training batch with their gradients, and dense log-weights
-    out = fresh_python(
-        "import sys, numpy as np\n"
-        "import verletflow.cli\n"
-        "from verletflow import VerletFlow\n"
-        "from verletflow.densities import default_trimodal\n"
+def scipy_modules_after(fresh_python, code):
+    # the scipy modules a fresh interpreter holds after running `code`
+    return fresh_python(
+        "import sys, numpy as np\n" + code
+        + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ).strip()
+
+
+TRAINING_STEP = (
+    "from verletflow import VerletFlow\n"
+    "from verletflow.densities import default_trimodal\n"
+    "from verletflow.training import TrainConfig, nll_batch\n"
+    "cfg = TrainConfig(batch_size=16, steps=2, hidden_sizes=(4,))\n"
+    "target = default_trimodal()\n"
+    "q = target.sample(16, seed=0)\n"
+    "flow = VerletFlow(2, 2, 1, hidden=[4], k1_form={form!r})\n"
+    "_, rec = nll_batch(flow, q, cfg, np.random.default_rng(0), record=True)\n"
+    "assert np.any(rec.grad_flat() != 0)\n"
+)
+
+
+def test_cli_import_loads_no_scipy(fresh_python):
+    # the package runs on numpy alone; scipy serves only the test oracles
+    assert scipy_modules_after(fresh_python, "import verletflow.cli\n") == "[]"
+
+
+def test_diagonal_training_step_loads_no_scipy(fresh_python):
+    assert scipy_modules_after(fresh_python, TRAINING_STEP.format(form="diagonal")) == "[]"
+
+
+def test_dense_training_step_loads_no_scipy(fresh_python):
+    # the dense step, its VJP and dense log-weights use operators.expm
+    code = TRAINING_STEP.format(form="dense") + (
         "from verletflow.importance import log_weights\n"
         "from verletflow.integrators import IntegratorConfig\n"
-        "from verletflow.training import TrainConfig, nll_batch\n"
-        "cfg = TrainConfig(batch_size=16, steps=2, hidden_sizes=(4,))\n"
-        "target = default_trimodal()\n"
-        "q = target.sample(16, seed=0)\n"
-        "for form in ('diagonal', 'dense'):\n"
-        "    flow = VerletFlow(2, 2, 1, hidden=[4], k1_form=form)\n"
-        "    _, rec = nll_batch(flow, q, cfg, np.random.default_rng(0), record=True)\n"
-        "    assert np.any(rec.grad_flat() != 0)\n"
         "assert np.all(np.isfinite(log_weights(flow, target, 8, IntegratorConfig(steps=2))))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert out.strip() == "[]"
+    assert scipy_modules_after(fresh_python, code) == "[]"
 
 
 def test_unknown_subcommand_is_usage_error():
