@@ -4,7 +4,7 @@ vector-Jacobian product.
 ``Mlp.__call__`` can record its layer inputs, and ``Mlp.vjp`` runs the
 reverse sweep over such a record for the input and parameter cotangents.
 Training and the RK4 traces differentiate through it and through the
-other hand-written VJPs (``operators.step_vjp``, ``flow.coefficient_vjp``,
+other hand-written VJPs (``operators.step_vjp``, ``operators.coefficient_vjp``,
 ``VerletFlow.field_vjp``, ``integrators.verlet_vjp``); the library has no
 generic autodiff.  Everything runs in float64.
 """

@@ -1,8 +1,8 @@
 """Command-line surface: training, log Z estimation, weight histograms,
 method benchmarks, sampling and self-check suites.
 
-Exit codes: 0 ok, 1 check failure, 2 usage/config error or unwritable output,
-3 numeric failure.
+Exit codes: 0 ok, 1 check failure, 2 usage/config error, unwritable output
+or a request too large for memory, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -319,8 +319,9 @@ def main(argv=None):
             if getattr(args, name, None):
                 check_output(getattr(args, name), directory)
         return args.func(args)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, MemoryError) as err:
+        # a request too large for memory is a usage error too
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

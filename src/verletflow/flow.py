@@ -8,11 +8,13 @@ appended as one raw scalar feature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Mlp, ParamVector, param_count
+from .operators import DENSE, DIAGONAL, apply_coefficient, coefficient_vjp
 
 
 class OrderError(ValueError):
@@ -56,19 +58,14 @@ class PhaseState:
         return replace(self, **kw)
 
 
-# output forms for the k=1 coefficient
-DIAGONAL = "diagonal"
-DENSE = "dense"
-
-
 @dataclass
 class CoefficientNet:
     """One Taylor coefficient s_k for a given side.
 
-    Output form by order: k=0 vector, k=1 diagonal (default) or dense
-    matrix, k>=2 the sparse on-diagonal tensor (a vector of per-component
-    coefficients).  ``span`` is where the net's parameters sit in its
-    flow's vector.
+    Output form by order: k=0 vector, k=1 diagonal (default) or a dense
+    ``(d, d)`` matrix (the net's outputs row-major), k>=2 the sparse
+    on-diagonal tensor (a vector of per-component coefficients).  ``span``
+    is where the net's parameters sit in its flow's vector.
     """
 
     side: str  # "q" or "p"
@@ -78,13 +75,22 @@ class CoefficientNet:
     span: slice = None
 
     def __call__(self, opposite, t, acts=None):
-        """Realize the coefficient at (opposite-variable, t); plain numpy.
-        The net's activations go to the list ``acts`` (see ``Mlp.__call__``)."""
+        """Realize the coefficient at (opposite-variable, t), ``(..., d, d)``
+        if dense; the net's activations go to ``acts`` (see ``Mlp.__call__``)."""
         opposite = np.asarray(opposite, dtype=np.float64)
         x = np.empty(opposite.shape[:-1] + (opposite.shape[-1] + 1,))
         x[..., :-1] = opposite
         x[..., -1] = t
-        return self.net(x, acts)
+        out = self.net(x, acts)
+        if self.form == DENSE:
+            return out.reshape(out.shape[:-1] + (math.isqrt(out.shape[-1]),) * 2)
+        return out
+
+    def vjp(self, acts, g, grad=None):
+        """``Mlp.vjp`` of one recorded call, from the coefficient's cotangent
+        ``g`` to the opposite variable's (the time column dropped)."""
+        g = g.reshape(g.shape[:-2] + (-1,)) if self.form == DENSE else g
+        return self.net.vjp(acts, g, grad)[..., :-1]
 
     def taped(self, opposite, t):
         """Retired tape placeholder (see ``autodiff.grad``)."""
@@ -100,6 +106,24 @@ class VerletFlow(ParamVector):
     """
 
     def __init__(self, d_q, d_p, order, hidden=(64, 64, 64), seed=0, k1_form=DIAGONAL):
+        layout, size = self.layout(d_q, d_p, order, hidden, k1_form)
+        self.d_q = d_q
+        self.d_p = d_p
+        self.order = order
+        self.k1_form = k1_form if order >= 1 else DIAGONAL
+        self.hidden_sizes = list(hidden)
+        self.params = np.empty(size)
+        self.q_nets, self.p_nets = [], []
+        # each net draws its initial values straight into its span
+        for sub, (side, k, form, sizes, span) in enumerate(layout):
+            mlp = Mlp(sizes, seed=(seed, sub), params=self.params[span])
+            self.nets(side).append(CoefficientNet(side, k, mlp, form, span))
+
+    @staticmethod
+    def layout(d_q, d_p, order, hidden, k1_form=DIAGONAL):
+        """``(nets, size)`` of the flow of this shape, which it checks and
+        allocates nothing for: ``(side, k, form, layer sizes, span)`` per
+        coefficient net in ``params`` order, and the parameter count."""
         hidden = list(hidden)
         if order < 0:
             raise OrderError(f"negative order {order}")
@@ -109,25 +133,15 @@ class VerletFlow(ParamVector):
         if not hidden or min([d_q, d_p] + hidden) < 1:
             raise ValueError(f"dims and hidden sizes must be >= 1, got "
                              f"d_q={d_q}, d_p={d_p}, hidden={hidden}")
-        self.d_q = d_q
-        self.d_p = d_p
-        self.order = order
-        self.k1_form = k1_form if order >= 1 else DIAGONAL
-        self.hidden_sizes = hidden
-        layout, size = [], 0
+        nets, size = [], 0
         for side, d_self, d_opp in (("q", d_q, d_p), ("p", d_p, d_q)):
             for k in range(order + 1):
-                form = self.k1_form if k == 1 else DIAGONAL
+                form = k1_form if k == 1 else DIAGONAL
                 sizes = [d_opp + 1] + hidden + [d_self * d_self if form == DENSE else d_self]
                 span = slice(size, size + param_count(sizes))
-                layout.append((side, k, form, sizes, span))
+                nets.append((side, k, form, sizes, span))
                 size = span.stop
-        self.params = np.empty(size)
-        self.q_nets, self.p_nets = [], []
-        # each net draws its initial values straight into its span
-        for sub, (side, k, form, sizes, span) in enumerate(layout):
-            mlp = Mlp(sizes, seed=(seed, sub), params=self.params[span])
-            self.nets(side).append(CoefficientNet(side, k, mlp, form, span))
+        return nets, size
 
     def nets(self, side):
         return self.q_nets if side == "q" else self.p_nets
@@ -187,13 +201,9 @@ class VerletFlow(ParamVector):
                 coeff, acts = record[j * (self.order + 1) + k]
                 c = self.nets(side)[k]
                 gx_k, g_c = coefficient_vjp(coeff, x, k, c.form, g)
-                if gx_k is not None:
-                    g_x = gx_k if g_x is None else g_x + gx_k
-                # the last input column is the time feature
-                g_in = c.net.vjp(acts, g_c)[..., :-1]
+                g_in = c.vjp(acts, g_c)
+                g_x = gx_k if g_x is None else g_x + gx_k
                 g_opp = g_in if g_opp is None else g_opp + g_in
-            if g_x is None:  # order 0: no term depends on its own side
-                g_x = np.zeros(np.broadcast_shapes(g.shape, x.shape))
             out[side] = g_x if out[side] is None else out[side] + g_x
             out[opp] = g_opp if out[opp] is None else out[opp] + g_opp
         return out["q"], out["p"]
@@ -201,43 +211,3 @@ class VerletFlow(ParamVector):
     def eval_field_taped(self, q, p, t):
         """Retired tape placeholder (see ``autodiff.grad``)."""
         raise NotImplementedError("the closure tape is retired")
-
-
-def apply_coefficient(coeff, x, k, form=DIAGONAL):
-    """Apply a realized order-k coefficient to the same-side variable.
-
-    k=0 ignores x, k=1 is diagonal (elementwise) or dense (matrix-vector),
-    k>=2 is the sparse on-diagonal contraction, an elementwise product with
-    x^k.
-    """
-    if k == 0:
-        return coeff
-    if k == 1:
-        if form == DENSE:
-            d = x.shape[-1]
-            mat = coeff.reshape(coeff.shape[:-1] + (d, d))
-            return np.einsum("...ij,...j->...i", mat, x)
-        return coeff * x
-    return coeff * x ** float(k)
-
-
-def coefficient_vjp(coeff, x, k, form, g):
-    """Cotangents (g_x, g_coeff) of ``apply_coefficient(coeff, x, k, form)``
-    given its output cotangent ``g``, which may carry leading seed axes.
-
-    ``g_x`` is None for k=0, whose term does not depend on x.  The products
-    are grouped as a reverse sweep over ``coeff * x**k`` groups them.
-    """
-    if k == 0:
-        return None, g
-    if k == 1:
-        if form == DENSE:
-            # y = M x:  g_x = M^T g,  g_M = g (outer) x
-            d = x.shape[-1]
-            mat = coeff.reshape(coeff.shape[:-1] + (d, d))
-            g_x = np.einsum("...ij,...i->...j", mat, g)
-            g_m = g[..., :, None] * x[..., None, :]
-            return g_x, g_m.reshape(g_m.shape[:-2] + (d * d,))
-        return g * coeff, g * x
-    c = float(k)
-    return g * coeff * c * x ** (c - 1.0), g * x ** c

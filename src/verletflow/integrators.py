@@ -188,9 +188,7 @@ def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
         y = sub.q if side == "q" else sub.p
         g[side], g_coeff = ops.step_vjp(step, x, y, g[side], g_logdet)
         c = flow.nets(side)[step.order]
-        g_in = c.net.vjp(sub.acts, g_coeff, grad[c.span])
-        # the last input column is the time feature
-        g[opp] = g[opp] + g_in[..., :-1]
+        g[opp] = g[opp] + c.vjp(sub.acts, g_coeff, grad[c.span])
     return grad, g["q"], g["p"]
 
 

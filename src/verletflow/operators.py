@@ -1,5 +1,5 @@
-"""Closed-form split updates for one Taylor term, their inverses, their
-exact log-determinants, and their vector-Jacobian products.
+"""Closed-form split updates for one Taylor term and the field term they
+integrate: values, inverses, exact log-determinants, vector-Jacobian products.
 
 Each operator acts on one side (q or p) with the coefficient realized at the
 current opposite variable and time, which a same-side step never touches, so
@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 SINGULARITY_MARGIN = 1e-12
+DIAGONAL, DENSE = "diagonal", "dense"  # the order-1 coefficient's forms
 
 
 class SingularityError(RuntimeError):
@@ -30,13 +31,22 @@ class SingularityError(RuntimeError):
 
 @dataclass
 class OperatorStep:
-    """One realized split update: side, order, duration and coefficient."""
+    """One realized split update: side, order, duration and coefficient.
+    A dense order-1 coefficient is a matrix ``(..., d, d)``."""
 
     side: str
     order: int
     tau: float
     coeff: np.ndarray
-    form: str = "diagonal"  # order-1 only
+    form: str = DIAGONAL  # order-1 only
+
+
+def _matrix(coeff, x):
+    """``coeff`` if it is a dense ``(..., d, d)`` coefficient for x."""
+    if np.shape(coeff)[-2:] == (np.shape(x)[-1],) * 2:
+        return coeff
+    raise ValueError(f"dense coefficient must be (..., d, d), d = {np.shape(x)[-1]}; "
+                     f"got shape {np.shape(coeff)}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +108,8 @@ def apply_step(step: OperatorStep, x):
     x = np.asarray(x, dtype=np.float64)
     s = np.asarray(step.coeff, dtype=np.float64)
     if k == 1:
-        if step.form == "dense":
-            mats = s.reshape(s.shape[:-1] + (x.shape[-1],) * 2)
+        if step.form == DENSE:
+            mats = _matrix(s, x)
             y = np.einsum("...ij,...j->...i", expm(tau * mats), x)
             return y, tau * np.trace(mats, axis1=-2, axis2=-1)
         return np.exp(tau * s) * x, tau * s.sum(axis=-1)
@@ -128,10 +138,7 @@ def apply_step(step: OperatorStep, x):
         raise SingularityError(
             f"order-{k} step base crosses zero (component {comp})", component=comp
         )
-    # |base| through the constant sign factor sgn_b
-    sgn_b = np.sign(base1)
-    base = sgn_b * x ** float(1 - k) + (sgn_b * tau * (1 - k)) * s
-    y = sgn * base ** (1.0 / (1 - k))
+    y = sgn * np.abs(base1) ** (1.0 / (1 - k))
     logdet = float(k) * (
         np.log(sgn * y).sum(axis=-1) - np.log(sgn * x).sum(axis=-1)
     )
@@ -143,6 +150,19 @@ def invert_step(step: OperatorStep, x):
     the forward closed form at -tau.  The returned log-det is the inverse
     map's own, i.e. the negated forward contribution."""
     return apply_step(replace(step, tau=-step.tau), x)
+
+
+def apply_coefficient(coeff, x, k, form=DIAGONAL):
+    """Apply a realized order-k coefficient to the same-side variable: k=0
+    ignores x, k=1 is diagonal (elementwise) or dense (matrix-vector), k>=2
+    the sparse on-diagonal contraction, an elementwise product with x^k."""
+    if k == 0:
+        return coeff
+    if k == 1:
+        if form == DENSE:
+            return np.einsum("...ij,...j->...i", _matrix(coeff, x), x)
+        return coeff * x
+    return coeff * x ** float(k)
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +183,19 @@ def step_vjp(step: OperatorStep, x, y, gy, gl):
         # y = x + tau*s, logdet = 0
         return gy, tau * gy
     if k == 1:
-        if step.form == "dense":
+        if step.form == DENSE:
             # y = E x with E = expm(A), A = tau*M: g_x = E^T gy and
             # g_M = tau*(L(A^T, gy x^T) + gl*I), L expm's Frechet derivative;
             # expm([[A^T, gy x^T], [0, A^T]]) = [[E^T, L], [0, E^T]] gives both
             d = x.shape[-1]
             blk = np.zeros(gy.shape[:-1] + (2 * d, 2 * d))
-            blk[..., :d, :d] = blk[..., d:, d:] = tau * np.swapaxes(
-                step.coeff.reshape(gy.shape + (d,)), -1, -2
-            )
+            a_t = tau * np.swapaxes(_matrix(step.coeff, x), -1, -2)
+            blk[..., :d, :d] = blk[..., d:, d:] = a_t
             blk[..., :d, d:] = gy[..., :, None] * x[..., None, :]
             blk = expm(blk)
             g_m = tau * (blk[..., :d, d:] + gl[..., None] * np.eye(d))
             gx = np.einsum("...ij,...j->...i", blk[..., :d, :d], gy)
-            return gx, g_m.reshape(step.coeff.shape)
+            return gx, g_m
         # y = exp(tau*s) x, logdet = tau*sum(s)
         return gy * np.exp(tau * step.coeff), tau * (gy * y + gl)
     # y^(1-k) = x^(1-k) + tau*(1-k)*s and logdet = k*sum(log|y| - log|x|);
@@ -186,3 +205,22 @@ def step_vjp(step: OperatorStep, x, y, gy, gl):
     gx = gy * rk1 * r + k * gl * (rk1 - 1.0) / x
     gc = tau * y ** (k - 1) * (gy * y + k * gl)
     return gx, gc
+
+
+def coefficient_vjp(coeff, x, k, form, g):
+    """Cotangents (g_x, g_coeff) of ``apply_coefficient(coeff, x, k, form)``
+    given its output cotangent ``g``, which may carry leading seed axes.
+
+    The products are grouped as a reverse sweep over ``coeff * x**k``
+    groups them; the k=0 term does not depend on x.
+    """
+    if k == 0:
+        return np.zeros(np.broadcast_shapes(np.shape(g), np.shape(x))), g
+    if k == 1:
+        if form == DENSE:
+            # y = M x:  g_x = M^T g,  g_M = g (outer) x
+            g_x = np.einsum("...ij,...i->...j", _matrix(coeff, x), g)
+            return g_x, g[..., :, None] * x[..., None, :]
+        return g * coeff, g * x
+    c = float(k)
+    return g * coeff * c * x ** (c - 1.0), g * x ** c

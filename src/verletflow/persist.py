@@ -120,7 +120,7 @@ class Config:
             if cfg.train.seed < 0 or cfg.eval.seed < 0:
                 raise ConfigError("train and eval seeds must be >= 0")
             # validate the flow's shape and the target spec early
-            cfg.build_flow()
+            VerletFlow.layout(cfg.d_q, cfg.d_p, cfg.order, cfg.hidden_sizes, cfg.k1_form)
             cfg.build_target()
             return cfg
         except (TypeError, KeyError, ValueError) as err:
@@ -191,7 +191,9 @@ def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``.
 
     The body is parsed line by line straight into float64, so loading holds
-    no copy of the file's text.  Every failure is a ``CheckpointError``.
+    no copy of the file's text, and the flow is built only once the body
+    holds as many parameters as the header's shape names.  Every failure is
+    a ``CheckpointError``.
     """
     try:
         with open(path) as fh:
@@ -201,15 +203,15 @@ def load_checkpoint(path):
             while line := fh.readline().rstrip("\n"):  # to the blank line or EOF
                 key, _, value = line.partition("=")
                 header[key] = value
-            flow = VerletFlow(
-                int(header["d_q"]),
-                int(header["d_p"]),
-                int(header["order"]),
-                hidden=[int(h) for h in header["hidden"].split(",")],
-                seed=0,
-                k1_form=header.get("k1_form", "diagonal"),
-            )
+            shape = dict(d_q=int(header["d_q"]), d_p=int(header["d_p"]),
+                         order=int(header["order"]),
+                         hidden=[int(h) for h in header["hidden"].split(",")],
+                         k1_form=header.get("k1_form", "diagonal"))
+            _, size = VerletFlow.layout(**shape)
             params = np.fromiter((float(v) for v in fh if v != "\n"), np.float64)
+        if params.size != size:
+            raise ValueError(f"the header names {size} parameters, the body has {params.size}")
+        flow = VerletFlow(**shape, seed=0)
         flow.set_params(params)
     except CheckpointError:
         raise

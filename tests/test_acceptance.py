@@ -313,7 +313,7 @@ def test_criterion_8_gradient_suite(fd_grad):
               fd_grad(lambda cc: step_objective(x, cc), c))
 
     # the dense k=1 step, y = expm(tau*M) x with log-det tau*tr(M)
-    x, m = rng.standard_normal((4, 3)), rng.standard_normal((4, 9))
+    x, m = rng.standard_normal((4, 3)), rng.standard_normal((4, 3, 3))
     wy, wl = rng.standard_normal((4, 3)), rng.standard_normal(4)
 
     def dense_objective(xx, mm):
@@ -326,9 +326,9 @@ def test_criterion_8_gradient_suite(fd_grad):
     grade("step_vjp k=1 dense coeff", g_m,
           fd_grad(lambda mm: dense_objective(x, mm), m))
 
-    for form, width in ((DIAGONAL, 3), (DENSE, 9)):
+    for form, c_shape in ((DIAGONAL, (4, 3)), (DENSE, (4, 3, 3))):
         x = rng.standard_normal((4, 3))
-        c = rng.standard_normal((4, width))
+        c = rng.standard_normal(c_shape)
         wy = rng.standard_normal((4, 3))
         g_x, g_c = coefficient_vjp(c, x, 1, form, wy)
 

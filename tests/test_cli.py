@@ -4,12 +4,17 @@ determinism, and exit codes (0 ok, 1 check failure, 2 usage, 3 numeric)."""
 import csv
 import json
 import os
+import resource
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import verletflow
 import verletflow.checks as checks
 import verletflow.cli as cli
 from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrate
@@ -585,6 +590,53 @@ def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+# -- requests too large for memory -------------------------------------------
+
+MEMORY_CAP = 3 * 2**30  # address-space limit of the child, bytes
+
+
+def run_capped(argv, cwd):
+    """The CLI in a child process whose address space is capped at 3 GiB,
+    so an oversized request fails to allocate instead of filling memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(verletflow.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "verletflow.cli", *argv], cwd=cwd,
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "huge.json"],
+     ["logz", "run/checkpoint.txt", "--samples", "100000000000"],
+     ["sample", "run/checkpoint.txt", "-n", "100000000000"]],
+    ids=["train-hidden", "logz-samples", "sample-n"],
+)
+def test_request_too_large_for_memory_is_usage_error(trained_dir, argv):
+    (trained_dir.parent / "huge.json").write_text(
+        json.dumps({"hidden_sizes": [100000, 100000, 100000]}))
+    res = run_capped(argv, trained_dir.parent)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+def test_checkpoint_header_is_checked_against_its_body(tmp_path):
+    # the header names ~2e10 parameters, the body holds one: the count
+    # mismatch is reported before any flow of that size is allocated
+    path = tmp_path / "ck.txt"
+    path.write_text("verletflow-v1\norder=1\nd_q=2\nd_p=2\n"
+                    "hidden=100000,100000,100000\nk1_form=diagonal\n\n0.5\n")
+    res = run_capped(["logz", str(path), "--samples", "10", "--steps", "2"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
+    assert "the body has 1" in res.stderr and "allocate" not in res.stderr
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/run"], ids=["a-file", "under-a-file"])

@@ -71,11 +71,18 @@ def test_create_shapes_and_validation():
     assert flow.p_nets[2].net.out_dim == 3
 
 
-def test_create_dense_k1_output_size():
+def test_create_dense_k1_output_size(rng):
     flow = VerletFlow(3, 2, order=1, hidden=[4], seed=0, k1_form=DENSE)
     assert flow.q_nets[1].net.out_dim == 9
     assert flow.p_nets[1].net.out_dim == 4
     assert flow.k1_form == DENSE
+    # a dense coefficient is a (d, d) matrix, any other a vector
+    for side, d, d_opp in (("q", 3, 2), ("p", 2, 3)):
+        c0, c1 = flow.nets(side)
+        for lead in ((), (5,)):
+            opp = rng.standard_normal(lead + (d_opp,))
+            assert c0(opp, 0.3).shape == lead + (d,)
+            assert c1(opp, 0.3).shape == lead + (d, d)
 
 
 def test_constructor_validates_shape():
@@ -197,7 +204,7 @@ def test_apply_coefficient_orders(rng):
 def test_apply_coefficient_dense_k1(rng):
     x = rng.standard_normal(2)
     mat = rng.standard_normal((2, 2))
-    out = apply_coefficient(mat.ravel(), x, 1, form=DENSE)
+    out = apply_coefficient(mat, x, 1, form=DENSE)
     assert np.allclose(out, mat @ x, atol=1e-15)
 
 

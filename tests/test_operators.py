@@ -75,7 +75,7 @@ def test_order1_dense_matches_scipy_expm(rng):
     d = 3
     mat = rng.standard_normal((d, d)) * 0.8
     x = rng.standard_normal(d)
-    y, logdet = fwd(1, x, mat.ravel(), 0.7, "dense")
+    y, logdet = fwd(1, x, mat, 0.7, "dense")
     y_ref = scipy.linalg.expm(0.7 * mat) @ x
     assert np.allclose(y, y_ref, atol=1e-12)
     assert np.isclose(logdet, 0.7 * np.trace(mat), atol=1e-13)
@@ -83,7 +83,7 @@ def test_order1_dense_matches_scipy_expm(rng):
 
 def test_order1_dense_batch_and_inverse(rng):
     d, n = 2, 4
-    mat = rng.standard_normal((n, d * d)) * 0.5
+    mat = rng.standard_normal((n, d, d)) * 0.5
     x = rng.standard_normal((n, d))
     y, ld = fwd(1, x, mat, 0.3, "dense")
     back, ld_b = inv(1, y, mat, 0.3, "dense")
@@ -315,7 +315,7 @@ def test_step_vjp_matches_fd(order, dim, rows, sign, dense, seed, fd_grad):
     rng = np.random.default_rng(seed)
     shape = (dim,) if rows is None else (rows, dim)
     form = "dense" if dense and order == 1 else "diagonal"
-    c_shape = shape[:-1] + (dim * dim,) if form == "dense" else shape
+    c_shape = shape + (dim,) if form == "dense" else shape
     tau = sign * rng.uniform(0.05, 0.4)
     x = rng.uniform(0.5, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
     # keep |tau*(k-1)*s| below half the smallest |x|^(1-k): no base crosses 0
@@ -336,6 +336,22 @@ def test_step_vjp_matches_fd(order, dim, rows, sign, dense, seed, fd_grad):
     assert gx.shape == shape and np.shape(gc) == c_shape
     assert np.allclose(gx, fd_x, rtol=1e-6, atol=1e-7)
     assert np.allclose(gc, fd_c, rtol=1e-6, atol=1e-7)
+
+
+def test_flattened_dense_coefficient_is_rejected(rng):
+    """A dense coefficient must be a (..., d, d) matrix: its flattened
+    (..., d*d) form is a ValueError naming the expected shape, not a
+    silent misread."""
+    x = rng.standard_normal((4, 2))
+    flat = rng.standard_normal((4, 4))  # 4 rows of d*d: square, yet not (4, 2, 2)
+    step = OperatorStep("q", 1, 0.3, flat, "dense")
+    calls = [lambda: ops.apply_step(step, x),
+             lambda: ops.step_vjp(step, x, x, x, np.zeros(4)),
+             lambda: ops.apply_coefficient(flat, x, 1, "dense"),
+             lambda: ops.coefficient_vjp(flat, x, 1, "dense", x)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\(\.\.\., d, d\), d = 2"):
+            call()
 
 
 def test_sparse_contraction_matches_dense_oracle(rng, dense_contraction_oracle):
