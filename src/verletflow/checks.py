@@ -1,7 +1,11 @@
-"""Self-contained property suites behind the ``check`` CLI command.
+"""The exactness checks: one case generator per check, shared by the
+``check`` CLI command and the acceptance criteria.
 
-Each suite returns a list of failure dicts (empty on success) so the CLI
-can emit a machine-readable report.
+Each generator yields one dict per case, its ``error`` the measured
+distance from exactness.  A suite reports the cases whose error is above
+their check's tolerance (``TOLERANCE``) as failure dicts, so the CLI can
+emit a machine-readable report; the acceptance criteria grade the worst
+error of the same cases.  A suite takes a second or two.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from .couplings import (
 from .flow import PhaseState, VerletFlow
 from .integrators import IntegratorConfig, verlet_integrate
 
-SEED = 0  # every suite draws its cases from this seed
+SEED = 0  # every generator draws its cases from this seed
+TAUS = (0.01, 0.5, 1.0)  # coupling step durations; tau cancels by construction
+STEPS = 100  # integration steps of a round-trip case
+TOLERANCE = {
+    "operator-logdet": 1e-5,
+    "coupling-equivalence": 1e-10,
+    "roundtrip": 1e-8,
+    "roundtrip-logdet": 1e-4,
+}
 
 
 def fd_logdet(apply_fn, x):
@@ -37,17 +49,18 @@ def fd_logdet(apply_fn, x):
     return logabs
 
 
-def check_operators(trials=200):
-    """Every operator's reported log-det vs a finite-difference Jacobian."""
+def operator_cases():
+    """1000 trials, each one split update per Taylor order 0-3: its
+    reported log-det against a finite-difference Jacobian."""
     rng = np.random.default_rng(SEED)
-    failures = []
     d = 3
-    for trial in range(trials):
-        tau = rng.uniform(0.05, 0.5)
+    for trial in range(1000):
         for order in (0, 1, 2, 3):
+            tau = rng.uniform(0.05, 0.5)
             coeff = rng.uniform(-1.0, 1.0, size=d)
             if order >= 2:
-                # stay clear of the singular set
+                # clear of the singular set: |tau (k-1) s| <= 0.3 stays
+                # below |x|^(1-k) >= 4/9, so no base crosses zero
                 x = rng.uniform(0.5, 1.5, size=d)
                 if order % 2 == 1:
                     x *= rng.choice([-1.0, 1.0], size=d)
@@ -55,29 +68,19 @@ def check_operators(trials=200):
             else:
                 x = rng.uniform(-2.0, 2.0, size=d)
             step = ops.OperatorStep("q", order, tau, coeff)
-
-            def fwd(v, step=step):
-                return ops.apply_step(step, v)[0]
-
-            try:
-                _, logdet = ops.apply_step(step, x)
-                err = abs(float(logdet) - fd_logdet(fwd, x))
-            except ops.SingularityError:
-                continue
-            if err > 1e-5:
-                failures.append(
-                    {"check": "operator-logdet", "order": order,
-                     "trial": trial, "error": err}
-                )
-    return failures
+            _, logdet = ops.apply_step(step, x)
+            fd = fd_logdet(lambda v: ops.apply_step(step, v)[0], x)
+            yield {"check": "operator-logdet", "order": order, "trial": trial,
+                   "error": float(abs(logdet - fd))}
 
 
-def check_couplings(trials=200, tol=1e-10, taus=(0.01, 0.5, 1.0)):
-    """Coupling layers vs their split-step compositions."""
+def coupling_cases():
+    """250 trials, each four random coupling layers (additive and affine,
+    each side) against their split-step compositions at every tau in
+    ``TAUS``: 1000 layer draws per tau."""
     rng = np.random.default_rng(SEED)
-    failures = []
     d_q, d_p = 2, 3
-    for trial in range(trials):
+    for trial in range(250):
         layers = [
             CouplingLayer(ADDITIVE, "q", Mlp([d_p, 8, d_q], seed=(SEED, trial, 0))),
             CouplingLayer(ADDITIVE, "p", Mlp([d_q, 8, d_p], seed=(SEED, trial, 1))),
@@ -94,7 +97,7 @@ def check_couplings(trials=200, tol=1e-10, taus=(0.01, 0.5, 1.0)):
         ]
         q = rng.standard_normal(d_q)
         p = rng.standard_normal(d_p)
-        for tau in taus:
+        for tau in TAUS:
             for layer in layers:
                 q1, p1, ld1 = apply_coupling(layer, q, p)
                 q2, p2, ld2 = apply_verlet_steps(as_verlet_steps(layer, tau), q, p)
@@ -103,41 +106,58 @@ def check_couplings(trials=200, tol=1e-10, taus=(0.01, 0.5, 1.0)):
                     np.abs(p1 - p2).max(),
                     abs(float(ld1) - float(ld2)),
                 )
-                if err > tol:
-                    failures.append(
-                        {"check": "coupling-equivalence", "kind": layer.kind,
-                         "side": layer.side, "tau": tau, "trial": trial,
-                         "error": float(err)}
-                    )
-    return failures
+                yield {"check": "coupling-equivalence", "kind": layer.kind,
+                       "side": layer.side, "tau": tau, "trial": trial,
+                       "error": float(err)}
 
 
-def check_roundtrip(trials=20):
-    """Forward-then-reverse Taylor-Verlet integration on random flows."""
+def roundtrip_cases():
+    """20 trials, each a random order-1 flow integrated forward and back over
+    ``STEPS`` Taylor-Verlet steps: two cases, the round trip's distance
+    from the start point and zero log-density change (``roundtrip``), and
+    the forward map's log-det against a finite-difference Jacobian
+    (``roundtrip-logdet``)."""
     rng = np.random.default_rng(SEED)
-    failures = []
-    for trial in range(trials):
+    forward = IntegratorConfig(t0=0.0, t1=1.0, steps=STEPS)
+    reverse = IntegratorConfig(t0=1.0, t1=0.0, steps=STEPS)
+    for trial in range(20):
         flow = VerletFlow(2, 2, order=1, hidden=[16], seed=(SEED, trial))
         q = rng.standard_normal(2)
         p = rng.standard_normal(2)
-        fwd = verlet_integrate(
-            flow, PhaseState(q=q, p=p, t=0.0),
-            IntegratorConfig(t0=0.0, t1=1.0, steps=25),
-        )
-        back = verlet_integrate(
-            flow, fwd.state.with_(dlogp=fwd.dlogp),
-            IntegratorConfig(t0=1.0, t1=0.0, steps=25),
-        )
+        fwd = verlet_integrate(flow, PhaseState(q=q, p=p, t=0.0), forward)
+        back = verlet_integrate(flow, fwd.state, reverse)
         err = max(
             np.abs(back.state.q - q).max(),
             np.abs(back.state.p - p).max(),
             abs(float(back.dlogp)),
         )
-        if err > 1e-8:
-            failures.append(
-                {"check": "roundtrip", "trial": trial, "error": float(err)}
-            )
-    return failures
+        yield {"check": "roundtrip", "trial": trial, "error": float(err)}
+
+        def composed(x):
+            res = verlet_integrate(flow, PhaseState(q=x[:2], p=x[2:], t=0.0), forward)
+            return np.concatenate([res.state.q, res.state.p])
+
+        # dlogp = -log|det J| of the forward map
+        fd = fd_logdet(composed, np.concatenate([q, p]))
+        yield {"check": "roundtrip-logdet", "trial": trial,
+               "error": float(abs(fwd.dlogp + fd))}
+
+
+def failures(cases):
+    """The cases whose error is above their check's tolerance."""
+    return [case for case in cases if case["error"] > TOLERANCE[case["check"]]]
+
+
+def check_operators():
+    return failures(operator_cases())
+
+
+def check_couplings():
+    return failures(coupling_cases())
+
+
+def check_roundtrip():
+    return failures(roundtrip_cases())
 
 
 SUITES = {

@@ -73,9 +73,12 @@ class IntegratorConfig:
 @dataclass
 class IntegrationResult:
     state: PhaseState
-    dlogp: object
     # per trajectory: coefficient-net calls (Verlet) or field calls (RK4)
     field_evaluations: int
+
+    @property
+    def dlogp(self):
+        return self.state.dlogp
 
 
 @dataclass
@@ -156,9 +159,7 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
             f"non-finite state after {cfg.steps} steps: {err}", step=cfg.steps - 1
         ) from err
     return IntegrationResult(
-        state=final,
-        dlogp=dlogp,
-        field_evaluations=cfg.steps * 2 * (flow.order + 1),
+        state=final, field_evaluations=cfg.steps * 2 * (flow.order + 1)
     )
 
 
@@ -285,11 +286,7 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
             raise IntegrationError(f"non-finite state at step {i}", step=i)
         t = cfg.t0 + (i + 1) * tau
     final = PhaseState(q=q, p=p, t=cfg.t1, dlogp=ell)
-    return IntegrationResult(
-        state=final,
-        dlogp=ell,
-        field_evaluations=4 * cfg.steps,
-    )
+    return IntegrationResult(state=final, field_evaluations=4 * cfg.steps)
 
 
 def integrate(flow, state, cfg, hutchinson_eps=None):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import verletflow
+import verletflow.checks as checks
 import verletflow.operators as ops
 from verletflow import (
     IntegratorConfig,
@@ -28,7 +29,6 @@ from verletflow import (
     verlet_integrate,
 )
 from verletflow.autodiff import Mlp
-from verletflow.checks import check_couplings, fd_logdet
 from verletflow.cli import main as cli_main
 from verletflow.densities import UnnormalizedDensity, default_trimodal
 from verletflow.flow import DENSE, DIAGONAL, apply_coefficient, coefficient_vjp
@@ -107,71 +107,30 @@ def weight_runs(trained, target):
 
 
 def test_criterion_1_operator_exactness():
-    rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst = {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
-    d = 3
-    draws = 1000
-    for order in (0, 1, 2, 3):
-        done = 0
-        while done < draws:
-            tau = rng.uniform(0.05, 0.5)
-            coeff = rng.uniform(-1.0, 1.0, size=d)
-            if order >= 2:
-                x = rng.uniform(0.5, 1.5, size=d)
-                if order % 2 == 1:
-                    x *= rng.choice([-1.0, 1.0], size=d)
-                coeff *= 0.3
-            else:
-                x = rng.uniform(-2.0, 2.0, size=d)
-            step = ops.OperatorStep("q", order, tau, coeff)
-            try:
-                _, logdet = ops.apply_step(step, x)
-                fd = fd_logdet(lambda v: ops.apply_step(step, v)[0], x)
-            except ops.SingularityError:
-                continue  # margin respected: redraw
-            worst[order] = max(worst[order], abs(float(logdet) - fd))
-            done += 1
+    cases = list(checks.operator_cases())
     elapsed = time.perf_counter() - start
-    worst_all = max(worst.values())
-    ok = worst_all < 1e-5 and elapsed < 10.0
+    worst = {k: max(c["error"] for c in cases if c["order"] == k) for k in range(4)}
+    draws = len(cases) // len(worst)
+    ok = max(worst.values()) < 1e-5 and elapsed < 10.0
     report(
         1, "operator exactness", ok,
         f"worst |logdet - FD| per order {{" +
         ", ".join(f"{k}: {v:.1e}" for k, v in worst.items()) +
-        f"}} (tol 1e-5), 1000 draws/order in {elapsed:.1f}s (limit 10s)",
+        f"}} (tol 1e-5), {draws} draws/order in {elapsed:.1f}s (limit 10s)",
     )
 
 
 def test_criterion_2_integrator_exact_likelihood():
-    rng = np.random.default_rng(102)
-    flow = VerletFlow(2, 2, order=1, hidden=[8], seed=12)
-    q0 = rng.standard_normal(2)
-    p0 = rng.standard_normal(2)
-    cfg = IntegratorConfig(steps=100)
-
-    def composed(x):
-        res = verlet_integrate(flow, PhaseState(q=x[:2], p=x[2:], t=0.0), cfg)
-        return np.concatenate([res.state.q, res.state.p])
-
-    fd = fd_logdet(composed, np.concatenate([q0, p0]))
-    fwd = verlet_integrate(flow, PhaseState(q=q0, p=p0, t=0.0), cfg)
-    # dlogp = -log|det J| of the forward map
-    err_logdet = abs(-float(fwd.dlogp) - fd)
-    back = verlet_integrate(
-        flow, fwd.state.with_(dlogp=fwd.dlogp),
-        IntegratorConfig(t0=1.0, t1=0.0, steps=100),
-    )
-    err_state = max(
-        np.abs(back.state.q - q0).max(),
-        np.abs(back.state.p - p0).max(),
-        abs(float(back.dlogp)),
-    )
-    ok = err_logdet < 1e-4 and err_state < 1e-8
+    cases = list(checks.roundtrip_cases())
+    worst = {kind: max(c["error"] for c in cases if c["check"] == kind)
+             for kind in ("roundtrip-logdet", "roundtrip")}
+    ok = worst["roundtrip-logdet"] < 1e-4 and worst["roundtrip"] < 1e-8
     report(
         2, "integrator exact likelihood", ok,
-        f"|dlogp - FD log|det|| = {err_logdet:.2e} (tol 1e-4), "
-        f"roundtrip = {err_state:.2e} (tol 1e-8)",
+        f"worst over {len(cases) // 2} flows at {checks.STEPS} steps: "
+        f"|dlogp - FD log|det|| = {worst['roundtrip-logdet']:.2e} (tol 1e-4), "
+        f"roundtrip = {worst['roundtrip']:.2e} (tol 1e-8)",
     )
 
 
@@ -201,14 +160,15 @@ def test_criterion_3_analytic_linear_flow():
 
 
 def test_criterion_4_coupling_equivalence():
-    failures = check_couplings(trials=250, taus=(0.01, 0.5, 1.0), tol=1e-10)
-    # 250 trials x 4 layer kinds = 1000 layer draws at each tau
-    ok = failures == []
-    worst = max((f["error"] for f in failures), default=0.0)
+    cases = list(checks.coupling_cases())
+    worst = max(c["error"] for c in cases)
+    ok = worst < 1e-10
     report(
         4, "coupling-layer equivalence", ok,
-        f"1000 layer draws x tau in {{0.01, 0.5, 1.0}}: "
-        f"{len(failures)} failures, worst error {worst:.2e} (tol 1e-10)",
+        f"{len(cases) // len(checks.TAUS)} layer draws x tau in "
+        f"{{{', '.join(map(str, checks.TAUS))}}}: "
+        f"{len(checks.failures(cases))} failures, worst error {worst:.2e} "
+        f"(tol 1e-10)",
     )
 
 

@@ -35,7 +35,7 @@ def test_log_mean_exp_matches_direct(rng):
     assert np.isclose(log_mean_exp(x + 1000), log_mean_exp(x) + 1000, atol=1e-9)
 
 
-def test_draw_source_is_batch_independent():
+def test_source_rows_are_batch_independent():
     x = importance.source_rows(4, 0, 10, 5)
     assert x.shape == (10, 5)
     assert np.array_equal(x[:4], importance.source_rows(4, 0, 4, 5))

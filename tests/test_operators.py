@@ -300,18 +300,20 @@ def test_taped_step_matches_plain_and_grads(order, rng, fd_grad):
         assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-8)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     order=st.integers(0, 3),
     dim=st.integers(1, 4),
     rows=st.sampled_from([None, 1, 3]),
     sign=st.sampled_from([1.0, -1.0]),
     dense=st.booleans(),
+    inverse=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_vjp_matches_fd(order, dim, rows, sign, dense, seed, fd_grad):
+def test_step_vjp_matches_fd(order, dim, rows, sign, dense, inverse, seed, fd_grad):
     """(gx, gc) of <wy, y> + <wl, logdet> for every order and the dense
-    k=1 form, both signs of tau, dims 1-4, vector and batch shapes."""
+    k=1 form, both signs of tau, dims 1-4, vector and batch shapes, and
+    for ``invert_step``, which differentiates as the forward step at -tau."""
     rng = np.random.default_rng(seed)
     shape = (dim,) if rows is None else (rows, dim)
     form = "dense" if dense and order == 1 else "diagonal"
@@ -325,11 +327,16 @@ def test_step_vjp_matches_fd(order, dim, rows, sign, dense, seed, fd_grad):
     wl = rng.standard_normal(shape[:-1])
     step = OperatorStep("q", order, tau, c, form)
 
+    def run(xx, cc):
+        if inverse:
+            return ops.invert_step(OperatorStep("q", order, -tau, cc, form), xx)
+        return ops.apply_step(OperatorStep("q", order, tau, cc, form), xx)
+
     def objective(xx, cc):
-        y, logdet = ops.apply_step(OperatorStep("q", order, tau, cc, form), xx)
+        y, logdet = run(xx, cc)
         return float((wy * y).sum() + (wl * logdet).sum())
 
-    y, _ = ops.apply_step(step, x)
+    y, _ = run(x, c)
     gx, gc = ops.step_vjp(step, x, y, wy, wl)
     fd_x = fd_grad(lambda xx: objective(xx, c), x)
     fd_c = fd_grad(lambda cc: objective(x, cc), c)

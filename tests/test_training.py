@@ -31,7 +31,7 @@ def test_config_validation():
         TrainConfig(steps=0)
 
 
-def test_taped_and_plain_losses_agree_exactly(rng):
+def test_recorded_and_plain_losses_agree_exactly(rng):
     # the recorded run (TapedFlowParams) and the plain run share one code path
     flow = VerletFlow(2, 2, order=1, hidden=[8], seed=1)
     cfg = tiny_cfg()
