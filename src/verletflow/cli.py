@@ -1,8 +1,11 @@
 """Command-line surface: training, log Z estimation, weight histograms,
 method benchmarks, sampling and self-check suites.
 
-Exit codes: 0 ok, 1 check failure, 2 usage/config error, unwritable output
-or a request too large for memory, 3 numeric failure.
+Commands raise their failures as typed errors, and ``main`` alone turns
+each into one stderr line and its exit code: 0 ok, 1 check failure,
+2 usage/config error (``ConfigError``, ``CheckpointError``, an unwritable
+output or a request too large for memory), 3 numeric failure
+(``IntegrationError``).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +32,26 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def positive_int(text):
-    """argparse type for counts that must be >= 1 (a usage error otherwise)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def bounded_int(low):
+    """argparse type for an integer >= ``low`` (a usage error otherwise):
+    1 for counts, 0 for seeds, which numpy needs non-negative."""
+    kind = "positive" if low else "non-negative"
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    parse.__name__ = f"{kind.replace('-', '_')}_int"  # argparse's "invalid <name> value"
+    return parse
 
 
-def non_negative_int(text):
-    """argparse type for seeds, which numpy needs >= 0 (a usage error otherwise)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def given(args):
+    """The ``--steps``, ``--seed`` and ``--samples`` values set on the command
+    line, by name: each replaces the config field of that name."""
+    values = {k: getattr(args, k, None) for k in ("steps", "seed", "samples")}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def check_output(path, directory=False):
@@ -56,22 +66,16 @@ def check_output(path, directory=False):
 
 
 def cmd_train(args):
-    try:
-        config = Config.load(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed is not None:
-        config.train.seed = args.seed
+    config = Config.load(args.config)
+    config.train = replace(config.train, **given(args))
     target = config.build_target()
     flow = config.build_flow()
     flow, report = train(target.base, config.train, flow=flow)
     epochs, skipped = config.train.epochs, report.skipped_batches
     if epochs and not report.nll_per_epoch:
         then = ", then diverged" if report.diverged else ""
-        print(f"numeric failure: trained 0 of {epochs} epochs; "
-              f"{skipped} batches skipped{then}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise IntegrationError(f"trained 0 of {epochs} epochs; "
+                               f"{skipped} batches skipped{then}")
     # created only once training was accepted: a rejected run leaves nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -112,41 +116,20 @@ def _methods(args, config):
 def cmd_estimate(args):
     """logz, weights-hist and benchmark: load, validate, estimate once per
     method on one seed, then hand the reports to the command's writer."""
-    try:
-        flow = load_checkpoint(args.checkpoint)
-        config = Config.load(args.config) if args.config else Config()
-        config.d_q, config.d_p = flow.d_q, flow.d_p
-        target = config.build_target()
-        methods = _methods(args, config)
-        cfgs = [
-            IntegratorConfig(
-                steps=args.steps or config.eval.steps,
-                method=method,
-                hutchinson_probes=config.eval.hutchinson_probes,
-                seed=args.seed if args.seed is not None else config.eval.seed,
-            )
-            for method in methods
-        ]
-        n = args.samples or config.eval.samples
-        # the reported sd needs SD_BATCHES batch estimates
-        if n < SD_BATCHES:
-            raise ValueError(
-                f"{args.command} needs at least {SD_BATCHES} samples, got {n}"
-            )
-    except (ConfigError, CheckpointError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    flow = load_checkpoint(args.checkpoint)
+    config = Config.load(args.config) if args.config else Config()
+    config.d_q, config.d_p = flow.d_q, flow.d_p
+    target = config.build_target()
+    methods = _methods(args, config)
+    ev = replace(config.eval, **given(args))
     reports = []
-    for cfg in cfgs:
-        try:
-            report = estimate_logZ(flow, target, n, cfg, workers=args.workers)
-        except IntegrationError as err:
-            print(f"numeric failure: {err}", file=sys.stderr)
-            return EXIT_NUMERIC
-        if n - report.invalid_count < SD_BATCHES:
-            print(f"numeric failure: {report.invalid_count} of {n} samples failed, "
-                  f"fewer than {SD_BATCHES} valid [{cfg.method}]", file=sys.stderr)
-            return EXIT_NUMERIC
+    for method in methods:
+        cfg = IntegratorConfig(steps=ev.steps, method=method, seed=ev.seed,
+                               hutchinson_probes=ev.hutchinson_probes)
+        report = estimate_logZ(flow, target, ev.samples, cfg, workers=args.workers)
+        if ev.samples - report.invalid_count < SD_BATCHES:
+            raise IntegrationError(f"{report.invalid_count} of {ev.samples} samples failed, "
+                                   f"fewer than {SD_BATCHES} valid [{method}]")
         reports.append(report)
     args.write(args, target, reports)
     return EXIT_OK
@@ -227,22 +210,14 @@ def write_benchmark(args, target, reports):
 
 
 def cmd_sample(args):
-    try:
-        flow = load_checkpoint(args.checkpoint)
-    except CheckpointError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = IntegratorConfig(steps=args.steps or IntegratorConfig.steps,
-                           seed=args.seed or IntegratorConfig.seed)
+    flow = load_checkpoint(args.checkpoint)
+    cfg = IntegratorConfig(**given(args))
     q1, p1 = np.empty((args.n, flow.d_q)), np.empty((args.n, flow.d_p))
     log_model = np.empty(args.n)
     for a, b, *block in push_blocks(flow, cfg, 0, args.n):
         q1[a:b], p1[a:b], log_model[a:b] = block
-    failed = int(np.isnan(log_model).sum())
-    if failed:
-        print(f"numeric failure: {failed} of {args.n} samples did not integrate",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+    if failed := int(np.isnan(log_model).sum()):
+        raise IntegrationError(f"{failed} of {args.n} samples did not integrate")
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = [f"q{i}" for i in range(flow.d_q)]
@@ -264,12 +239,13 @@ def cmd_check(args):
 
 
 def build_parser():
+    count = bounded_int(1)
     parser = argparse.ArgumentParser(
         prog="verletflow",
         description="Verlet flows: exact-likelihood augmented CNFs",
     )
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=non_negative_int, default=None)
+    seed.add_argument("--seed", type=bounded_int(0), default=None)
     csv_out = argparse.ArgumentParser(add_help=False)
     csv_out.add_argument("--csv", type=str, default=None)
 
@@ -288,9 +264,9 @@ def build_parser():
         p = sub.add_parser(name, parents=[seed, csv_out])
         p.add_argument("checkpoint")
         p.add_argument("--config", default=None)
-        p.add_argument("--samples", type=positive_int, default=samples)
-        p.add_argument("--steps", type=positive_int, default=None)
-        p.add_argument("--workers", type=positive_int, default=1)
+        p.add_argument("--samples", type=count, default=samples)
+        p.add_argument("--steps", type=count, default=None)
+        p.add_argument("--workers", type=count, default=1)
         p.add_argument("--svg", type=str, default=None)
         if name == "benchmark":
             p.add_argument("--methods", default="taylor-verlet,rk4-exact")
@@ -300,8 +276,8 @@ def build_parser():
 
     p = sub.add_parser("sample", parents=[seed], help="push source samples forward")
     p.add_argument("checkpoint")
-    p.add_argument("-n", type=positive_int, default=1000)
-    p.add_argument("--steps", type=positive_int, default=None)
+    p.add_argument("-n", type=count, default=1000)
+    p.add_argument("--steps", type=count, default=None)
     p.add_argument("--csv", default="samples.csv")
     p.set_defaults(func=cmd_sample)
 
@@ -319,10 +295,13 @@ def main(argv=None):
             if getattr(args, name, None):
                 check_output(getattr(args, name), directory)
         return args.func(args)
-    except (OSError, MemoryError) as err:
+    except (ConfigError, CheckpointError, OSError, MemoryError) as err:
         # a request too large for memory is a usage error too
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
+    except IntegrationError as err:
+        print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -136,6 +136,9 @@ def push_blocks(flow, cfg, lo, hi):
         yield a, b, q1, p1, standard_normal_logpdf(x0) + dlogp
 
 
+# scored under the integration's error state: a finite but far-out end
+# state overflows the target's log-density into an invalid weight, silently
+@np.errstate(all="ignore")
 def _log_weights_range(flow, target, cfg, lo, hi):
     """Log-weights for sample indices [lo, hi), ``lo`` block-aligned."""
     lw = np.empty(hi - lo)

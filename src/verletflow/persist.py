@@ -85,8 +85,9 @@ class EvalConfig:
         # the integration rules are IntegratorConfig's own
         IntegratorConfig(steps=self.steps, method=self.method, seed=self.seed,
                          hutchinson_probes=self.hutchinson_probes)
-        if self.samples < SD_BATCHES:  # the reported sd needs SD_BATCHES batches
-            raise ValueError(f"eval.samples must be >= {SD_BATCHES}, got {self.samples}")
+        if self.samples < SD_BATCHES:
+            raise ConfigError(f"the reported sd needs at least {SD_BATCHES} samples, "
+                              f"got {self.samples}")
 
 
 @dataclass

@@ -20,7 +20,7 @@ import verletflow.cli as cli
 from verletflow import IntegratorConfig, PhaseState, VerletFlow, verlet_integrate
 from verletflow.cli import main
 from verletflow.densities import standard_normal_logpdf
-from verletflow.importance import log_weights, source_rows
+from verletflow.importance import estimate_logZ, log_weights, source_rows
 from verletflow.persist import Config, load_checkpoint, save_checkpoint
 
 
@@ -266,6 +266,22 @@ def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods
     captured = capsys.readouterr()
     assert "numeric failure" in captured.err and f"[{failing}]" in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_out_samples_are_scored_without_warnings(tmp_path, capsys):
+    # every trajectory ends finite but ~1e200 out, where the target's
+    # log-density overflows: each weight is invalid, and no warning shows
+    flow = VerletFlow(2, 2, order=1, hidden=[2], seed=0).zero_()
+    flow.q_nets[0].net.biases[-1][:] = 1e200
+    report = estimate_logZ(flow, Config().build_target(), 20, IntegratorConfig(steps=2))
+    assert report.invalid_count == 20
+    save_checkpoint(tmp_path / "far.txt", flow)
+    assert main(["logz", str(tmp_path / "far.txt"), "--samples", "20", "--steps", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: 20 of 20 samples failed, " \
+                           "fewer than 10 valid [taylor-verlet]\n"
+    assert captured.out == ""
 
 
 def test_logz_missing_checkpoint_is_usage_error(tmp_path):
@@ -577,6 +593,29 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert main(["check", "operators"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["failures"]
+
+
+# -- the exit-code map -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [(cli.ConfigError("bad key"), 2, "error: bad key"),
+     (cli.CheckpointError("bad checkpoint"), 2, "error: bad checkpoint"),
+     (OSError("disk full"), 2, "error: disk full"),
+     (MemoryError(), 2, "error: out of memory"),
+     (cli.IntegrationError("step 3: singular"), 3, "numeric failure: step 3: singular")],
+    ids=["config", "checkpoint", "os", "memory", "integration"],
+)
+def test_main_maps_each_error_to_its_exit_code(capsys, monkeypatch, error, code, line):
+    # a command raises, and main alone prints the one line and picks the code
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    assert main(["check", "operators"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and captured.out == ""
 
 
 # -- unwritable outputs ------------------------------------------------------

@@ -42,3 +42,25 @@ def test_test_imports_are_declared():
     missing = {name for name in third_party
                if name.lower().replace("_", "-") not in declared_packages()}
     assert not missing, f"imported by the tests but not declared: {sorted(missing)}"
+
+
+def unused_imports(path):
+    """Names a module imports at its top level and never reads, skipping
+    ``from __future__``."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (ROOT / "src" / "verletflow").glob("*.py")
+                     if p.name != "__init__.py"),  # __init__ imports to re-export
+)
+def test_package_imports_are_used(module):
+    assert unused_imports(ROOT / "src" / "verletflow" / module) == []
