@@ -14,7 +14,7 @@ from .integrators import (
     rk4_integrate,
     verlet_integrate,
 )
-from .operators import OperatorStep, SingularityError, apply_step, invert_step
+from .operators import OperatorStep, apply_step, invert_step
 from .persist import Config, load_checkpoint, save_checkpoint
 from .training import TrainConfig, TrainReport, nll_batch, train
 
@@ -30,7 +30,6 @@ __all__ = [
     "Mlp",
     "OperatorStep",
     "PhaseState",
-    "SingularityError",
     "TrainConfig",
     "TrainReport",
     "UnnormalizedDensity",

@@ -21,10 +21,6 @@ class OrderError(ValueError):
     pass
 
 
-class NumericError(RuntimeError):
-    """Non-finite value produced during evaluation."""
-
-
 @dataclass(frozen=True)
 class PhaseState:
     """A point (q, p) in phase space at time t plus the accumulated
@@ -165,19 +161,14 @@ class VerletFlow(ParamVector):
         out = []
         i = 0
         for side, x, opp in (("q", state.q, state.p), ("p", state.p, state.q)):
-            terms = []
+            total = None
             for c in self.nets(side):
                 acts = record[i][1] if i < len(record) else []
                 coeff = c(opp, state.t, acts)
                 record[i:i + 1] = [(coeff, acts)]
                 i += 1
-                terms.append(apply_coefficient(coeff, x, c.order, c.form))
-            total = terms[0]
-            for term in terms[1:]:
-                total = total + term
-            if not np.all(np.isfinite(total)):
-                bad = [k for k, y in enumerate(terms) if not np.all(np.isfinite(y))]
-                raise NumericError(f"non-finite {side}-field terms at orders {bad}")
+                term = apply_coefficient(coeff, x, c.order, c.form)
+                total = term if total is None else total + term
             out.append(total)
         return tuple(out)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .densities import UnnormalizedDensity, logsumexp, standard_normal_logpdf
 from .flow import PhaseState, VerletFlow
-from .integrators import RK4_HUTCHINSON, IntegrationError, integrate
+from .integrators import RK4_HUTCHINSON, integrate
 
 SD_BATCHES = 10
 # rows per block streamed through every integration step; 1024 keeps a
@@ -81,34 +81,6 @@ def rademacher_probes(seed, sample_indices, probes, dim):
     return out
 
 
-# overflow in a trajectory is an outcome here (a NaN sample), not a warning
-@np.errstate(all="ignore")
-def _integrate_block(flow, q0, p0, cfg, eps):
-    """End state (q1, p1) and dlogp of one block of source rows.
-
-    If the block raises ``IntegrationError`` its rows are integrated one
-    at a time, so only the failing samples come back as NaN.
-    """
-    try:
-        res = integrate(flow, PhaseState(q=q0, p=p0, t=cfg.t0), cfg,
-                        hutchinson_eps=eps)
-        return res.state.q, res.state.p, res.dlogp
-    except IntegrationError:
-        q1 = np.full_like(q0, np.nan)
-        p1 = np.full_like(p0, np.nan)
-        dlogp = np.full(len(q0), np.nan)
-        for i in range(len(q0)):
-            try:
-                res = integrate(
-                    flow, PhaseState(q=q0[i], p=p0[i], t=cfg.t0), cfg,
-                    hutchinson_eps=None if eps is None else eps[i],
-                )
-            except IntegrationError:
-                continue
-            q1[i], p1[i], dlogp[i] = res.state.q, res.state.p, res.dlogp
-        return q1, p1, dlogp
-
-
 def push_blocks(flow, cfg, lo, hi):
     """Push sample rows [lo, hi) forward one block at a time.
 
@@ -119,9 +91,10 @@ def push_blocks(flow, cfg, lo, hi):
     next starts, so the coefficient-net activations stay in cache.  With
     ``lo`` a multiple of ``BLOCK_ROWS``, row i always lands in block
     i // BLOCK_ROWS whatever the split of [0, n), and BLAS rounds a row
-    the same way only within an equal-sized batch.  Yields (a, b, q1, p1,
-    log_model) per block: the end states and their model log-density, NaN
-    for samples whose integration failed.
+    the same way only within an equal-sized batch; each block is integrated
+    once, and a row's failure does not touch the others.  Yields (a, b, q1,
+    p1, log_model) per block: the end states and their model log-density,
+    which is NaN for a sample whose integration failed.
     """
     d_q = flow.d_q
     dim = d_q + flow.d_p
@@ -132,8 +105,13 @@ def push_blocks(flow, cfg, lo, hi):
             eps = rademacher_probes(cfg.seed, range(a, b),
                                     cfg.hutchinson_probes, dim)
         x0 = source_rows(cfg.seed, a, b, dim)
-        q1, p1, dlogp = _integrate_block(flow, x0[:, :d_q], x0[:, d_q:], cfg, eps)
-        yield a, b, q1, p1, standard_normal_logpdf(x0) + dlogp
+        # overflow in a trajectory is an outcome here (a NaN sample), not a
+        # warning
+        with np.errstate(all="ignore"):
+            res = integrate(flow, PhaseState(q=x0[:, :d_q], p=x0[:, d_q:], t=cfg.t0),
+                            cfg, hutchinson_eps=eps)
+        dlogp = np.where(res.failed, np.nan, res.dlogp)
+        yield a, b, res.state.q, res.state.p, standard_normal_logpdf(x0) + dlogp
 
 
 # scored under the integration's error state: a finite but far-out end

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .flow import NumericError, PhaseState, VerletFlow
+from .flow import PhaseState, VerletFlow
 
 TAYLOR_VERLET = "taylor-verlet"
 RK4_EXACT = "rk4-exact"
@@ -33,17 +33,23 @@ METHODS = (TAYLOR_VERLET, RK4_EXACT, RK4_HUTCHINSON)
 
 
 class IntegrationError(RuntimeError):
-    """Numeric or singularity failure, annotated with the failing step."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    """A batch or run failed numerically.  An integrator raises none: it
+    records each row's failure in ``IntegrationResult.failures``."""
 
 
 class DivergenceError(IntegrationError):
     """The trajectory produced non-finite values: the field itself (not a
     singular draw) is pathological, so callers should treat the current
     parameters as diverged rather than retry other samples."""
+
+
+# where a row's integration first went non-finite: the step, the substep's
+# side and Taylor order (RK4: the field term's; -1 for the state or the sum)
+# and the first non-finite component; step -1 if it did not.  A failed row
+# holds the state and dlogp it had before that substep (Verlet) or step (RK4).
+FAILURE = np.dtype([("step", np.int64), ("side", "U1"), ("order", np.int64),
+                    ("component", np.int64)])
+NO_FAILURE = np.array((-1, "", -1, -1), FAILURE)
 
 
 @dataclass
@@ -75,10 +81,27 @@ class IntegrationResult:
     state: PhaseState
     # per trajectory: coefficient-net calls (Verlet) or field calls (RK4)
     field_evaluations: int
+    failures: np.ndarray  # per row, a ``FAILURE`` record
 
     @property
     def dlogp(self):
         return self.state.dlogp
+
+    @property
+    def failed(self):
+        """Per row, whether its integration failed."""
+        return self.failures["step"] >= 0
+
+
+def _mark(failures, where, values):
+    """Rows of ``values`` (``(..., d)``) with a non-finite component; those
+    not failed yet are recorded in ``failures`` as failing at ``where``, a
+    (step, side, order) triple, in their first such component."""
+    bad = ~np.isfinite(values).all(axis=-1)
+    new = bad & (failures["step"] < 0)
+    failures[new] = where + (0,)
+    failures["component"][new] = np.argmin(np.isfinite(values[new]), axis=-1)
+    return bad
 
 
 @dataclass
@@ -97,8 +120,8 @@ class Substep:
 # Taylor-Verlet
 
 
-def _substeps(flow, q, p, t, tau, dlogp, record, acts):
-    """One Taylor-Verlet step at frozen time t, or its exact inverse.
+def _substeps(flow, q, p, t, tau, dlogp, record, acts, failures, i):
+    """Step i of a Taylor-Verlet run, at frozen time t, or its exact inverse.
 
     ``tau`` is the duration every substep applies, and its sign picks the
     direction.  A forward step (tau > 0) runs k ascending, q before p; the
@@ -107,7 +130,10 @@ def _substeps(flow, q, p, t, tau, dlogp, record, acts):
     re-evaluated from the current values, which equal the ones the forward
     pass saw because a same-side step never moves the opposite side.
     ``acts`` is the run's activation list; a recorded run takes a new one.
+    A row whose substep goes non-finite is marked in ``failures`` and,
+    like every failed row, keeps its state and dlogp from then on.
     """
+    held = failures["step"].max(initial=-1) >= 0
     forward = tau > 0
     orders = range(flow.order + 1) if forward else range(flow.order, -1, -1)
     sides = ("q", "p") if forward else ("p", "q")
@@ -117,12 +143,17 @@ def _substeps(flow, q, p, t, tau, dlogp, record, acts):
             acts = [] if record is not None else acts
             net = flow.nets(side)[k]
             step = ops.OperatorStep(side, k, tau, net(opp, t, acts), net.form)
-            x, logdet = ops.apply_step(step, x)
+            y, logdet = ops.apply_step(step, x)
+            if held or not np.isfinite(y).all():
+                _mark(failures, (i, side, k), y)
+                rows = failures["step"] >= 0
+                y, logdet = np.where(rows[..., None], x, y), np.where(rows, 0.0, logdet)
+                held = True
             dlogp = dlogp - logdet
             if side == "q":
-                q = x
+                q = y
             else:
-                p = x
+                p = y
             if record is not None:
                 record.append(Substep(step, q, p, acts))
     return q, p, dlogp
@@ -144,23 +175,14 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     tau = cfg.tau
     q, p, dlogp = state.q, state.p, state.dlogp
     acts = []
+    failures = np.full(q.shape[:-1], NO_FAILURE)
     for i in range(cfg.steps):
         # a reverse step (tau < 0) undoes the forward step of duration -tau
         # that ran at frozen time t0 + (i + 1) * tau
         t = cfg.t0 + (i if tau > 0 else i + 1) * tau
-        try:
-            q, p, dlogp = _substeps(flow, q, p, t, tau, dlogp, record, acts)
-        except ops.SingularityError as err:
-            raise IntegrationError(f"step {i}: {err}", step=i) from err
-    try:
-        final = PhaseState(q=q, p=p, t=cfg.t1, dlogp=dlogp)
-    except ValueError as err:
-        raise DivergenceError(
-            f"non-finite state after {cfg.steps} steps: {err}", step=cfg.steps - 1
-        ) from err
-    return IntegrationResult(
-        state=final, field_evaluations=cfg.steps * 2 * (flow.order + 1)
-    )
+        q, p, dlogp = _substeps(flow, q, p, t, tau, dlogp, record, acts, failures, i)
+    return IntegrationResult(PhaseState(q=q, p=p, t=cfg.t1, dlogp=dlogp),
+                             cfg.steps * 2 * (flow.order + 1), failures)
 
 
 def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
@@ -247,9 +269,9 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     Each stage evaluates the field into the run's one record, refilled in
     place, and takes the trace with ``_trace`` over that record.
     rk4-hutchinson takes its probe bank ``hutchinson_eps`` from the caller
-    (``importance.rademacher_probes``) and rk4-exact takes none.  A
-    non-finite stage input or field raises ``IntegrationError`` with the
-    failing step.
+    (``importance.rademacher_probes``) and rk4-exact takes none.  A row
+    whose stage input, field or end state goes non-finite in step i is
+    marked in ``failures`` and keeps the values it started step i with.
     """
     if cfg.method not in (RK4_EXACT, RK4_HUTCHINSON):
         raise ValueError(f"rk4_integrate got method {cfg.method!r}")
@@ -261,32 +283,45 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     ell = np.zeros(q.shape[:-1]) + state.dlogp
     bank, draws = _seed_bank(cfg, q, p, hutchinson_eps)
     record = []  # one record for the run, refilled at every stage
+    failures = np.full(q.shape[:-1], NO_FAILURE)
 
-    def deriv(qq, pp, t):
-        try:
-            st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
-        except ValueError as err:  # a stage input overflowed
-            raise NumericError(str(err)) from err
-        fq, fp = flow.eval_field(st, record)
-        return fq, fp, -(_trace(flow, st, record, bank) / draws)
+    def deriv(i, qq, pp, t):
+        # a row whose stage input overflowed is evaluated at the step's
+        # start (q, p) instead
+        if not (np.isfinite(qq).all() and np.isfinite(pp).all()):
+            bad = (_mark(failures, (i, "q", -1), qq)
+                   | _mark(failures, (i, "p", -1), pp))[..., None]
+            qq, pp = np.where(bad, q, qq), np.where(bad, p, pp)
+        st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
+        field = flow.eval_field(st, record)
+        for j, (side, x, f) in enumerate(zip("qp", (qq, pp), field)):
+            if not np.isfinite(f).all():
+                for k, c in enumerate(flow.nets(side)):
+                    coeff = record[j * (flow.order + 1) + k][0]
+                    _mark(failures, (i, side, k), ops.apply_coefficient(coeff, x, k, c.form))
+                _mark(failures, (i, side, -1), f)
+        return (*field, -(_trace(flow, st, record, bank) / draws))
 
     t = cfg.t0
     for i in range(cfg.steps):
-        try:
-            k1 = deriv(q, p, t)
-            k2 = deriv(q + 0.5 * tau * k1[0], p + 0.5 * tau * k1[1], t + 0.5 * tau)
-            k3 = deriv(q + 0.5 * tau * k2[0], p + 0.5 * tau * k2[1], t + 0.5 * tau)
-            k4 = deriv(q + tau * k3[0], p + tau * k3[1], t + tau)
-        except NumericError as err:
-            raise IntegrationError(f"step {i}: {err}", step=i) from err
-        q = q + tau / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + tau / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        ell = ell + tau / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise IntegrationError(f"non-finite state at step {i}", step=i)
+        k1 = deriv(i, q, p, t)
+        k2 = deriv(i, q + 0.5 * tau * k1[0], p + 0.5 * tau * k1[1], t + 0.5 * tau)
+        k3 = deriv(i, q + 0.5 * tau * k2[0], p + 0.5 * tau * k2[1], t + 0.5 * tau)
+        k4 = deriv(i, q + tau * k3[0], p + tau * k3[1], t + tau)
+        q1 = q + tau / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        p1 = p + tau / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        ell1 = ell + tau / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        held = failures["step"].max(initial=-1) >= 0
+        if held or not (np.isfinite(q1).all() and np.isfinite(p1).all()):
+            _mark(failures, (i, "q", -1), q1)
+            _mark(failures, (i, "p", -1), p1)
+            rows = failures["step"] >= 0
+            q1, p1 = np.where(rows[..., None], q, q1), np.where(rows[..., None], p, p1)
+            ell1 = np.where(rows, ell, ell1)
+        q, p, ell = q1, p1, ell1
         t = cfg.t0 + (i + 1) * tau
-    final = PhaseState(q=q, p=p, t=cfg.t1, dlogp=ell)
-    return IntegrationResult(state=final, field_evaluations=4 * cfg.steps)
+    return IntegrationResult(PhaseState(q=q, p=p, t=cfg.t1, dlogp=ell),
+                             4 * cfg.steps, failures)
 
 
 def integrate(flow, state, cfg, hutchinson_eps=None):

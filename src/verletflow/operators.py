@@ -21,14 +21,6 @@ SINGULARITY_MARGIN = 1e-12
 DIAGONAL, DENSE = "diagonal", "dense"  # the order-1 coefficient's forms
 
 
-class SingularityError(RuntimeError):
-    """A k>=2 step hit the singular set; the step is rejected, never clamped."""
-
-    def __init__(self, message, component=None):
-        super().__init__(message)
-        self.component = component
-
-
 @dataclass
 class OperatorStep:
     """One realized split update: side, order, duration and coefficient.
@@ -100,7 +92,8 @@ def apply_step(step: OperatorStep, x):
     * order 1 scales, ``exp(tau*s) x`` with log-det ``tr(tau*s)``: elementwise
       in the diagonal form, a true matrix exponential (``expm``) in the
       dense form;
-    * order k >= 2 solves dx/dt = s * x^k componentwise (below).
+    * order k >= 2 solves dx/dt = s * x^k componentwise (below), NaN on
+      its singular set.
     """
     tau, k = step.tau, step.order
     if k == 0:
@@ -122,22 +115,16 @@ def apply_step(step: OperatorStep, x):
     # compute.  The base must keep the sign of x^(1-k) throughout the step (a
     # sign flip means the trajectory blew up); for k >= 3 the base is always
     # positive and the output keeps the sign of x, since the odd-power ODE
-    # preserves sign.
-    small = np.abs(x) <= SINGULARITY_MARGIN
-    if np.any(small):
-        comp = int(np.argwhere(small)[0][-1])
-        raise SingularityError(
-            f"zero coordinate in order-{k} step (component {comp})", component=comp
-        )
+    # preserves sign.  A component on the singular set (|x| or |base| at most
+    # SINGULARITY_MARGIN, or a base that changes sign) is rejected, never
+    # clamped: it comes out NaN, and so does its row's log-det.  NaN enters
+    # before any division or log, so a singular row raises no warning.
+    x = np.where(np.abs(x) <= SINGULARITY_MARGIN, np.nan, x)
     sgn = np.sign(x)
     base0 = x ** (1 - k)  # sign of x for even k, positive for odd k
     base1 = base0 + tau * (1 - k) * s
     bad = (np.sign(base1) != np.sign(base0)) | (np.abs(base1) <= SINGULARITY_MARGIN)
-    if np.any(bad):
-        comp = int(np.argwhere(bad)[0][-1])
-        raise SingularityError(
-            f"order-{k} step base crosses zero (component {comp})", component=comp
-        )
+    base1 = np.where(bad, np.nan, base1)
     y = sgn * np.abs(base1) ** (1.0 / (1 - k))
     logdet = float(k) * (
         np.log(sgn * y).sum(axis=-1) - np.log(sgn * x).sum(axis=-1)

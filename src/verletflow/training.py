@@ -89,7 +89,9 @@ def nll_batch(flow: VerletFlow, q_batch, cfg: TrainConfig, rng, *, record=False)
     Each sample is augmented with a fresh p ~ N(0, I), integrated in
     reverse to t=0 and scored against the standard-normal source.  Returns
     the loss as a float; with ``record=True``, returns (loss,
-    TapedFlowParams) whose ``grad_flat()`` gives the gradient.
+    TapedFlowParams) whose ``grad_flat()`` gives the gradient.  A failed
+    row raises ``IntegrationError`` if it hit a k >= 2 step's singular set
+    (the batch is skipped), else ``DivergenceError``.
     """
     q1 = np.asarray(q_batch, dtype=np.float64)
     if q1.ndim != 2 or q1.shape[0] < 1:
@@ -99,6 +101,11 @@ def nll_batch(flow: VerletFlow, q_batch, cfg: TrainConfig, rng, *, record=False)
     state = PhaseState(q=q1, p=p1, t=1.0)
     substeps = [] if record else None
     res = verlet_integrate(flow, state, icfg, substeps)
+    failed = res.failures[res.failed]
+    if failed.size:
+        error = IntegrationError if (failed["order"] >= 2).any() else DivergenceError
+        raise error(f"{failed.size} of {len(q1)} rows failed, the first at "
+                    f"(step, side, order, component) {failed[0]}")
     logpi0 = standard_normal_logpdf(
         np.concatenate([res.state.q, res.state.p], axis=-1)
     )

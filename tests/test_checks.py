@@ -39,6 +39,7 @@ def test_roundtrip_suite_catches_broken_inverse(monkeypatch):
             return integ.IntegrationResult(
                 state=res.state.with_(q=res.state.q + 1e-4),
                 field_evaluations=res.field_evaluations,
+                failures=res.failures,
             )
         return res
 

@@ -9,12 +9,12 @@ from verletflow.autodiff import Mlp
 from verletflow.flow import (
     DENSE,
     CoefficientNet,
-    NumericError,
     OrderError,
     PhaseState,
     VerletFlow,
     apply_coefficient,
 )
+from verletflow.integrators import IntegratorConfig, rk4_integrate
 
 
 # -- PhaseState --------------------------------------------------------------
@@ -185,12 +185,14 @@ def test_zeroed_flow_field_vanishes(identity_flow, rng):
 
 
 def test_eval_field_reports_nonfinite_orders():
+    # an RK4 run records the side and order of the first non-finite term
     flow = VerletFlow(2, 2, order=1, hidden=[4], seed=5)
     flow.q_nets[1].net.biases[-1][:] = np.inf
 
     state = PhaseState(q=[0.1, 0.2], p=[0.3, 0.4], t=0.0)
-    with pytest.raises(NumericError, match="orders \\[1\\]"):
-        flow.eval_field(state, [])
+    with np.errstate(invalid="ignore"):
+        res = rk4_integrate(flow, state, IntegratorConfig(steps=1, method="rk4-exact"))
+    assert res.failures[["step", "side", "order"]].tolist() == (0, "q", 1)
 
 
 def test_apply_coefficient_orders(rng):

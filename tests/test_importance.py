@@ -139,6 +139,7 @@ def test_estimate_logz_converges_on_random_flow(small_flow):
     assert abs(rep.logZ) < max(3 * rep.sd, 0.1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_weights_are_nan_and_counted(normal_target):
     # order-2 flow with a huge k=2 coefficient: most trajectories blow up
     flow = VerletFlow(2, 2, order=2, hidden=[2], seed=0).zero_()
@@ -171,18 +172,42 @@ def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
     assert np.isnan(rep.log_weights).sum() == rep.invalid_count
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
-    # the same samples are invalid however the rows are blocked, and the
-    # valid weights of a failing block match the block-free values
+    # the same samples are invalid however the rows are blocked, the valid
+    # weights of a failing block match the block-free values, and every
+    # block is integrated once, failing rows or not
     flow = VerletFlow(2, 2, order=2, hidden=[2], seed=0).zero_()
     flow.q_nets[2].net.biases[-1][:] = 200.0
     cfg = IntegratorConfig(steps=3, seed=0)
+    calls = []
+    monkeypatch.setattr(importance, "integrate",
+                        lambda *args, **kw: calls.append(1) or integrate(*args, **kw))
     ref = log_weights(flow, normal_target, 40, cfg)
+    assert len(calls) == 1
     monkeypatch.setattr(importance, "BLOCK_ROWS", 7)
     lw = log_weights(flow, normal_target, 40, cfg)
+    assert len(calls) == 1 + 6
     assert np.isnan(ref).any() and np.isfinite(ref).any()
     assert np.array_equal(np.isnan(lw), np.isnan(ref))
     assert np.allclose(lw, ref, rtol=0, atol=1e-12, equal_nan=True)
+
+
+def test_good_rows_do_not_depend_on_failing_rows(normal_target, monkeypatch):
+    # a row's weight has the same bits whichever other rows of its block
+    # fail: here, when every failing source row is swapped for a good one
+    flow = VerletFlow(2, 2, order=2, hidden=[16], seed=0)
+    flow.set_params(3 * flow.params)
+    cfg = IntegratorConfig(steps=20, seed=0)
+    lw = log_weights(flow, normal_target, 64, cfg)
+    bad = np.isnan(lw)
+    assert bad.any() and not bad.all()
+    rows = source_rows(cfg.seed, 0, 64, 4)
+    swapped = np.where(bad[:, None], rows[~bad][0], rows)
+    monkeypatch.setattr(importance, "source_rows", lambda seed, lo, hi, dim: swapped[lo:hi])
+    again = log_weights(flow, normal_target, 64, cfg)
+    assert np.isfinite(again).all()
+    assert again[~bad].tobytes() == lw[~bad].tobytes()
 
 
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])

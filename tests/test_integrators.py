@@ -14,7 +14,6 @@ import verletflow.integrators as integ
 from verletflow.flow import DENSE, DIAGONAL, PhaseState, VerletFlow
 from verletflow.importance import rademacher_probes
 from verletflow.integrators import (
-    IntegrationError,
     IntegratorConfig,
     integrate,
     rk4_integrate,
@@ -438,17 +437,25 @@ def test_rk4_stage_vjp_count(small_flow, rng, monkeypatch, method, probes, vjps)
 
 
 def test_singularity_becomes_integration_error():
+    # the failing row is recorded at its substep and holds the state it had
+    # before it; the other row runs on as if alone (nll_batch turns such a
+    # record into IntegrationError)
     flow = VerletFlow(1, 1, order=2, hidden=[2], seed=0).zero_()
-    flow.q_nets[2].net.biases[-1][:] = 50.0  # guaranteed base sign flip
-    with pytest.raises(IntegrationError) as exc:
-        verlet_integrate(
-            flow, PhaseState(q=[1.0], p=[1.0], t=0.0), IntegratorConfig(steps=1)
-        )
-    assert exc.value.step == 0
+    flow.q_nets[2].net.biases[-1][:] = 50.0  # base sign flip for q > 0.02
+    cfg = IntegratorConfig(steps=1)
+    res = verlet_integrate(flow, PhaseState(q=[[1.0], [-1.0]], p=[[1.0], [1.0]], t=0.0), cfg)
+    assert res.failed.tolist() == [True, False]
+    assert res.failures[0].tolist() == (0, "q", 2, 0)
+    assert (res.state.q[0, 0], res.state.p[0, 0], res.dlogp[0]) == (1.0, 1.0, 0.0)
+    alone = verlet_integrate(flow, PhaseState(q=[-1.0], p=[1.0], t=0.0), cfg)
+    assert not alone.failed
+    assert np.array_equal(res.state.q[1], alone.state.q) and res.dlogp[1] == alone.dlogp
 
 
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
 def test_rk4_stage_overflow_is_integration_error(method):
+    # a row that overflows in a step is recorded at that step and holds the
+    # state it started the step with
     cfg = IntegratorConfig(steps=10, method=method)
     # q^2 and q^3 are finite at the step's start and overflow at its midpoint
     flow = VerletFlow(1, 1, order=3, hidden=[2], seed=0).zero_()
@@ -456,18 +463,18 @@ def test_rk4_stage_overflow_is_integration_error(method):
     flow.q_nets[3].net.biases[-1][:] = 1.0
     state = PhaseState(q=[1e100], p=[0.0], t=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationError) as exc:
-            rk4_integrate(flow, state, cfg, probes_for(state, cfg))
-    assert exc.value.step == 0
+        res = rk4_integrate(flow, state, cfg, probes_for(state, cfg))
+    assert res.failures.tolist() == (0, "q", 2, 0)
+    assert res.state.q.tolist() == [1e100] and res.dlogp == 0.0
     # a finite field that carries the last stage's input past the float range
     flow = VerletFlow(1, 1, order=0, hidden=[2], seed=0).zero_()
     flow.q_nets[0].net.biases[-1][:] = 1e308
     state = PhaseState(q=[1e308], p=[0.0], t=0.0)
     cfg = IntegratorConfig(steps=1, method=method)
     with np.errstate(over="ignore"):
-        with pytest.raises(IntegrationError, match="non-finite phase-space") as exc:
-            rk4_integrate(flow, state, cfg, probes_for(state, cfg))
-    assert exc.value.step == 0
+        res = rk4_integrate(flow, state, cfg, probes_for(state, cfg))
+    assert res.failures.tolist() == (0, "q", -1, 0)
+    assert res.state.q.tolist() == [1e308]
 
 
 # -- probes ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import verletflow.operators as ops
 from verletflow.checks import fd_logdet
-from verletflow.operators import OperatorStep, SingularityError
+from verletflow.operators import OperatorStep
 
 
 def fwd(order, x, s, tau, form="diagonal"):
@@ -242,16 +242,23 @@ def test_orderk_even_negative_input():
     assert np.isclose(float(logdet), fd, atol=1e-7)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_orderk_rejects_zero_coordinate():
-    with pytest.raises(SingularityError) as exc:
-        fwd(2, np.array([1.0, 0.0]), np.array([0.1, 0.1]), 0.1)
-    assert exc.value.component == 1
+    # the singular component and its row's log-det come out NaN; the other
+    # row is stepped as if alone
+    x = np.array([[1.0, 0.0], [1.0, 0.5]])
+    y, logdet = fwd(2, x, np.full(2, 0.1), 0.1)
+    assert np.argwhere(np.isnan(y)).tolist() == [[0, 1]]
+    assert np.isnan(logdet[0])
+    alone = fwd(2, x[1], np.full(2, 0.1), 0.1)
+    assert np.array_equal(y[1], alone[0]) and logdet[1] == alone[1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_orderk_rejects_base_sign_flip():
     # x=1, s=1, k=2, tau=1.5: base = 1 - 1.5 < 0 flips sign -> singular
-    with pytest.raises(SingularityError):
-        fwd(2, np.array([1.0]), np.array([1.0]), 1.5)
+    y, logdet = fwd(2, np.array([1.0]), np.array([1.0]), 1.5)
+    assert np.isnan(y).all() and np.isnan(logdet)
 
 
 def test_orderk_rejects_small_k():

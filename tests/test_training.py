@@ -10,6 +10,7 @@ import pytest
 
 from verletflow import VerletFlow
 from verletflow.densities import default_trimodal, standard_normal
+from verletflow.integrators import DivergenceError, IntegrationError
 from verletflow.training import Adam, TrainConfig, nll_batch, train
 
 
@@ -200,6 +201,19 @@ def test_train_numeric_blowup_aborts_with_finite_params():
     flow, rep = train(target, tiny_cfg(epochs=8, learning_rate=1e4))
     assert rep.diverged
     assert np.all(np.isfinite(flow.get_params()))
+
+
+@pytest.mark.parametrize("order,k,bias,error",
+                         [(2, 2, 50.0, IntegrationError), (1, 1, -1e3, DivergenceError)],
+                         ids=["singular", "non-finite"])
+def test_nll_batch_reads_the_failure_record(order, k, bias, error):
+    # a row failing at a k >= 2 substep skips the batch; a row gone
+    # non-finite at any other substep means the parameters diverged
+    flow = VerletFlow(1, 1, order=order, hidden=[2], seed=0).zero_()
+    flow.q_nets[k].net.biases[-1][:] = bias  # the one-step reverse run fails at q = -0.1
+    with np.errstate(all="ignore"), pytest.raises(error) as exc:
+        nll_batch(flow, [[-0.1], [-0.01]], tiny_cfg(steps=1), np.random.default_rng(0))
+    assert type(exc.value) is error
 
 
 def test_train_divergence_keeps_last_good_params(monkeypatch):
