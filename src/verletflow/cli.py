@@ -65,6 +65,16 @@ def check_output(path, directory=False):
         raise OSError(f"cannot write {path}: {parent} is not a writable directory")
 
 
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` to ``path``, every float (numpy's too)
+    as ``.12g`` and any other value as it is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in row])
+
+
 def cmd_train(args):
     config = Config.load(args.config)
     config.train = replace(config.train, **given(args))
@@ -80,11 +90,7 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.txt", flow)
-    with open(out / "nll.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "nll"])
-        for epoch, nll in enumerate(report.nll_per_epoch):
-            writer.writerow([epoch, format(nll, ".12g")])
+    write_csv(out / "nll.csv", ["epoch", "nll"], enumerate(report.nll_per_epoch))
     if report.diverged:
         print("training diverged; kept last good checkpoint", file=sys.stderr)
         return EXIT_NUMERIC
@@ -139,24 +145,9 @@ def _write_curves(args, target, reports):
     """logz and benchmark artifacts: the WeightReport CSV
     (method,seed,m,logZ,sd,wall_ms,invalid_count) and the logZ-curve SVG."""
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["method", "seed", "m", "logZ", "sd", "wall_ms", "invalid_count"]
-            )
-            for report in reports:
-                for m, logz, sd in report.logZ_curve:
-                    writer.writerow(
-                        [
-                            report.method,
-                            report.seed,
-                            m,
-                            format(logz, ".12g"),
-                            format(sd, ".12g"),
-                            int(round(report.wall_seconds * 1000)),
-                            report.invalid_count,
-                        ]
-                    )
+        write_csv(args.csv, ["method", "seed", "m", "logZ", "sd", "wall_ms", "invalid_count"],
+                  [(r.method, r.seed, m, logz, sd, int(round(r.wall_seconds * 1000)),
+                    r.invalid_count) for r in reports for m, logz, sd in r.logZ_curve])
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(
@@ -181,11 +172,7 @@ def write_weights_hist(args, target, reports):
     (report,) = reports
     lw = report.log_weights
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "log_weight"])
-            for i, w in enumerate(lw):
-                writer.writerow([i, format(w, ".12g")])
+        write_csv(args.csv, ["index", "log_weight"], enumerate(lw))
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(
@@ -218,16 +205,8 @@ def cmd_sample(args):
         q1[a:b], p1[a:b], log_model[a:b] = block
     if failed := int(np.isnan(log_model).sum()):
         raise IntegrationError(f"{failed} of {args.n} samples did not integrate")
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"q{i}" for i in range(flow.d_q)]
-        header += [f"p{i}" for i in range(flow.d_p)]
-        header.append("log_density")
-        writer.writerow(header)
-        for qi, pi, ld in zip(q1, p1, log_model):
-            writer.writerow(
-                [format(v, ".12g") for v in (*qi, *pi)] + [format(ld, ".12g")]
-            )
+    header = [f"q{i}" for i in range(flow.d_q)] + [f"p{i}" for i in range(flow.d_p)]
+    write_csv(args.csv, header + ["log_density"], np.column_stack([q1, p1, log_model]))
     print(f"wrote {args.n} samples to {args.csv}")
     return EXIT_OK
 

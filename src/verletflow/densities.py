@@ -58,6 +58,10 @@ class Gmm:
         if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means,
                                                      self.variances)):
             raise ValueError("mixture weights, means and variances must be finite")
+        if (self.weights.ndim, self.means.ndim, self.variances.ndim) != (1, 2, 1):
+            raise ValueError("mixture weights and variances must be 1-D and means 2-D")
+        if np.any(self.weights < 0):
+            raise ValueError("mixture weights must be non-negative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {self.weights.sum()}, not 1")
         if np.any(self.variances <= 0):

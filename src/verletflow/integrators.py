@@ -14,6 +14,9 @@ Two families:
 Both operate on vector states or on batches ``(n, d)``.  A Taylor-Verlet run
 can record its substeps, and ``verlet_vjp`` then differentiates it with
 explicit vector-Jacobian products, which is how training gets its gradient.
+
+Neither raises for a row that goes non-finite: ``FAILURE`` records where, and
+one rule, ``_hold``, keeps it at its last good state while the rest run on.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ class DivergenceError(IntegrationError):
 
 # where a row's integration first went non-finite: the step, the substep's
 # side and Taylor order (RK4: the field term's; -1 for the state or the sum)
-# and the first non-finite component; step -1 if it did not.  A failed row
-# holds the state and dlogp it had before that substep (Verlet) or step (RK4).
+# and the first non-finite component; step -1 if it did not.  ``_hold`` sets
+# a failed row back at every update from then on: a Verlet substep to the
+# state and dlogp from before that substep, an RK4 stage input or step end to
+# the step's start.
 FAILURE = np.dtype([("step", np.int64), ("side", "U1"), ("order", np.int64),
                     ("component", np.int64)])
 NO_FAILURE = np.array((-1, "", -1, -1), FAILURE)
@@ -94,14 +99,25 @@ class IntegrationResult:
 
 
 def _mark(failures, where, values):
-    """Rows of ``values`` (``(..., d)``) with a non-finite component; those
-    not failed yet are recorded in ``failures`` as failing at ``where``, a
-    (step, side, order) triple, in their first such component."""
-    bad = ~np.isfinite(values).all(axis=-1)
-    new = bad & (failures["step"] < 0)
+    """Record the rows of ``values`` (``(..., d)``) with a non-finite
+    component that have not failed yet in ``failures`` as failing at
+    ``where``, a (step, side, order) triple, in their first such component."""
+    new = ~np.isfinite(values).all(axis=-1) & (failures["step"] < 0)
     failures[new] = where + (0,)
     failures["component"][new] = np.argmin(np.isfinite(values[new]), axis=-1)
-    return bad
+
+
+def _hold(failures, checks, old, new):
+    """``new`` (a tuple of per-row values) with every failed row set back to
+    ``old``, after each check ``(where, values)`` has its rows that went
+    non-finite marked at ``where``.  While no row has failed, ``new`` as is."""
+    if failures["step"].max(initial=-1) < 0 and all(np.isfinite(v).all() for _, v in checks):
+        return new
+    for where, values in checks:
+        _mark(failures, where, values)
+    rows = failures["step"] >= 0
+    return tuple(np.where(rows[..., None] if np.ndim(n) > rows.ndim else rows, o, n)
+                 for o, n in zip(old, new))
 
 
 @dataclass
@@ -120,51 +136,15 @@ class Substep:
 # Taylor-Verlet
 
 
-def _substeps(flow, q, p, t, tau, dlogp, record, acts, failures, i):
-    """Step i of a Taylor-Verlet run, at frozen time t, or its exact inverse.
-
-    ``tau`` is the duration every substep applies, and its sign picks the
-    direction.  A forward step (tau > 0) runs k ascending, q before p; the
-    inverse of a forward step of duration d runs p before q, k descending,
-    each substep ``apply_step`` at ``tau = -d``.  Coefficients are
-    re-evaluated from the current values, which equal the ones the forward
-    pass saw because a same-side step never moves the opposite side.
-    ``acts`` is the run's activation list; a recorded run takes a new one.
-    A row whose substep goes non-finite is marked in ``failures`` and,
-    like every failed row, keeps its state and dlogp from then on.
-    """
-    held = failures["step"].max(initial=-1) >= 0
-    forward = tau > 0
-    orders = range(flow.order + 1) if forward else range(flow.order, -1, -1)
-    sides = ("q", "p") if forward else ("p", "q")
-    for k in orders:
-        for side in sides:
-            x, opp = (q, p) if side == "q" else (p, q)
-            acts = [] if record is not None else acts
-            net = flow.nets(side)[k]
-            step = ops.OperatorStep(side, k, tau, net(opp, t, acts), net.form)
-            y, logdet = ops.apply_step(step, x)
-            if held or not np.isfinite(y).all():
-                _mark(failures, (i, side, k), y)
-                rows = failures["step"] >= 0
-                y, logdet = np.where(rows[..., None], x, y), np.where(rows, 0.0, logdet)
-                held = True
-            dlogp = dlogp - logdet
-            if side == "q":
-                q = y
-            else:
-                p = y
-            if record is not None:
-                record.append(Substep(step, q, p, acts))
-    return q, p, dlogp
-
-
 def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
                      record=None):
     """Taylor-Verlet integration from cfg.t0 to cfg.t1.
 
     ``t1 < t0`` runs the exact inverse of the forward integrator that maps
-    t1 up to t0.  ``record``, if a list, receives one ``Substep`` per
+    t1 up to t0, each substep ``apply_step`` at ``tau < 0``.  Coefficients
+    are evaluated from the current values, which in an inverse step equal
+    the ones the forward step saw because a same-side step never moves the
+    opposite side.  ``record``, if a list, receives one ``Substep`` per
     substep for ``verlet_vjp``.  An unrecorded run passes one activation
     list to all its net calls, which share ``hidden`` and so its arrays.
     """
@@ -173,14 +153,31 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     if abs(state.t - cfg.t0) > 1e-12:
         raise ValueError(f"state.t={state.t} != cfg.t0={cfg.t0}")
     tau = cfg.tau
+    # a forward step runs k ascending, q before p; a reverse step (tau < 0)
+    # undoes the forward step of duration -tau in the opposite order
+    substeps = [(k, side) for k in range(flow.order + 1) for side in "qp"]
+    if tau < 0:
+        substeps.reverse()
     q, p, dlogp = state.q, state.p, state.dlogp
     acts = []
     failures = np.full(q.shape[:-1], NO_FAILURE)
     for i in range(cfg.steps):
-        # a reverse step (tau < 0) undoes the forward step of duration -tau
-        # that ran at frozen time t0 + (i + 1) * tau
+        # the reverse step's forward step ran at frozen time t0 + (i + 1) * tau
         t = cfg.t0 + (i if tau > 0 else i + 1) * tau
-        q, p, dlogp = _substeps(flow, q, p, t, tau, dlogp, record, acts, failures, i)
+        for k, side in substeps:
+            x, opp = (q, p) if side == "q" else (p, q)
+            acts = [] if record is not None else acts
+            net = flow.nets(side)[k]
+            step = ops.OperatorStep(side, k, tau, net(opp, t, acts), net.form)
+            y, logdet = ops.apply_step(step, x)
+            y, logdet = _hold(failures, [((i, side, k), y)], (x, 0.0), (y, logdet))
+            dlogp = dlogp - logdet
+            if side == "q":
+                q = y
+            else:
+                p = y
+            if record is not None:
+                record.append(Substep(step, q, p, acts))
     return IntegrationResult(PhaseState(q=q, p=p, t=cfg.t1, dlogp=dlogp),
                              cfg.steps * 2 * (flow.order + 1), failures)
 
@@ -232,10 +229,9 @@ def _seed_bank(cfg, q, p, eps):
     if cfg.method == RK4_EXACT:
         if eps is not None:
             raise ValueError("rk4-exact takes no probe bank")
-        e_q, e_p = (np.zeros((x.shape[-1],) + x.shape) for x in (q, p))
-        for e in (e_q, e_p):
-            for i in range(len(e)):
-                e[i, ..., i] = 1.0
+        # read-only views of one identity: a seed is only read
+        e_q, e_p = (np.broadcast_to(np.eye(d).reshape((d,) + (1,) * (x.ndim - 1) + (d,)),
+                                    (d,) + x.shape) for x in (q, p) for d in [x.shape[-1]])
         return [(e_q, None), (None, e_p)], 1
     shape = q.shape[:-1] + (cfg.hutchinson_probes, d_q + p.shape[-1])
     if eps is None or eps.shape != shape:
@@ -286,12 +282,7 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     failures = np.full(q.shape[:-1], NO_FAILURE)
 
     def deriv(i, qq, pp, t):
-        # a row whose stage input overflowed is evaluated at the step's
-        # start (q, p) instead
-        if not (np.isfinite(qq).all() and np.isfinite(pp).all()):
-            bad = (_mark(failures, (i, "q", -1), qq)
-                   | _mark(failures, (i, "p", -1), pp))[..., None]
-            qq, pp = np.where(bad, q, qq), np.where(bad, p, pp)
+        qq, pp = _hold(failures, [((i, "q", -1), qq), ((i, "p", -1), pp)], (q, p), (qq, pp))
         st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
         field = flow.eval_field(st, record)
         for j, (side, x, f) in enumerate(zip("qp", (qq, pp), field)):
@@ -311,14 +302,8 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         q1 = q + tau / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         p1 = p + tau / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         ell1 = ell + tau / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        held = failures["step"].max(initial=-1) >= 0
-        if held or not (np.isfinite(q1).all() and np.isfinite(p1).all()):
-            _mark(failures, (i, "q", -1), q1)
-            _mark(failures, (i, "p", -1), p1)
-            rows = failures["step"] >= 0
-            q1, p1 = np.where(rows[..., None], q, q1), np.where(rows[..., None], p, p1)
-            ell1 = np.where(rows, ell, ell1)
-        q, p, ell = q1, p1, ell1
+        q, p, ell = _hold(failures, [((i, "q", -1), q1), ((i, "p", -1), p1)],
+                          (q, p, ell), (q1, p1, ell1))
         t = cfg.t0 + (i + 1) * tau
     return IntegrationResult(PhaseState(q=q, p=p, t=cfg.t1, dlogp=ell),
                              4 * cfg.steps, failures)

@@ -88,11 +88,18 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
      {"eval": {"method": "rk5"}}, {"eval": {"steps": 0}},
      {"eval": {"hutchinson_probes": 0}}, {"target": {"type": "normal", "variance": 5}},
      {"hidden_sizes": [4], "train": {"epochs": 1, "batch_size": 8, "steps": 2},
-      "eval": {"samples": -5}}, {"eval": {"samples": 0}}],
+      "eval": {"samples": -5}}, {"eval": {"samples": 0}},
+     {"target": {"type": "gmm", "weights": [1.5, -0.5], "means": [[0, 0], [1, 1]],
+                 "variances": [1, 1]}},
+     {"target": {"type": "gmm", "weights": [0.5, 0.5], "means": [[0, 0], [1, 1]],
+                 "variances": [[1, 1], [1, 1]]}},
+     {"target": {"type": "gmm", "weights": [[0.5, 0.5]], "means": [[0, 0]],
+                 "variances": [1]}}],
     ids=["zero-steps", "list-config", "string-target", "list-dims", "scalar-train",
          "null-eval", "inf-variance", "nan-mean", "nan-logz", "typo-key",
          "eval-method", "eval-zero-steps", "eval-zero-probes", "normal-variance",
-         "eval-negative-samples", "eval-zero-samples"],
+         "eval-negative-samples", "eval-zero-samples", "gmm-negative-weight",
+         "gmm-2d-variances", "gmm-2d-weights"],
 )
 def test_untrainable_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "config.json"

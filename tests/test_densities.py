@@ -123,6 +123,13 @@ def test_gmm_validation():
         Gmm(np.array([1.0]), np.zeros((1, 1)), np.array([-1.0]))
     with pytest.raises(ValueError):
         Gmm(np.array([1.0]), np.zeros((2, 1)), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        Gmm(np.array([1.5, -0.5]), np.zeros((2, 1)), np.array([1.0, 1.0]))
+    for weights, means, variances in (([[0.5, 0.5]], [[0.0]], [1.0]),
+                                      ([0.5, 0.5], np.zeros((2, 1)), np.ones((2, 2))),
+                                      ([1.0], np.zeros((1, 1, 2)), [1.0])):
+        with pytest.raises(ValueError, match="1-D"):
+            Gmm(np.array(weights), np.array(means), np.array(variances))
     # NaN fails every comparison, so it would pass the checks above
     for bad in ({"weights": [np.nan]}, {"means": [[0.0, np.nan]]},
                 {"variances": [np.inf]}, {"variances": [np.nan]}):

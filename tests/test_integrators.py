@@ -452,6 +452,22 @@ def test_singularity_becomes_integration_error():
     assert np.array_equal(res.state.q[1], alone.state.q) and res.dlogp[1] == alone.dlogp
 
 
+def test_failed_row_holds_through_later_steps():
+    # the failing row keeps its record and its state from before the failing
+    # substep over every later step; the other row runs on as if alone
+    flow = VerletFlow(1, 1, order=2, hidden=[2], seed=0).zero_()
+    flow.q_nets[2].net.biases[-1][:] = 50.0  # base sign flip for q > 0.02
+    cfg = IntegratorConfig(steps=3)
+    res = verlet_integrate(flow, PhaseState(q=[[1.0], [-1.0]], p=[[1.0], [1.0]], t=0.0), cfg)
+    assert res.failed.tolist() == [True, False]
+    assert res.failures[0].tolist() == (0, "q", 2, 0)
+    assert (res.state.q[0, 0], res.state.p[0, 0], res.dlogp[0]) == (1.0, 1.0, 0.0)
+    alone = verlet_integrate(flow, PhaseState(q=[-1.0], p=[1.0], t=0.0), cfg)
+    assert not alone.failed
+    assert np.array_equal(res.state.q[1], alone.state.q)
+    assert np.array_equal(res.state.p[1], alone.state.p) and res.dlogp[1] == alone.dlogp
+
+
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
 def test_rk4_stage_overflow_is_integration_error(method):
     # a row that overflows in a step is recorded at that step and holds the
