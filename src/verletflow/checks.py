@@ -2,10 +2,11 @@
 ``check`` CLI command and the acceptance criteria.
 
 Each generator yields one dict per case, its ``error`` the measured
-distance from exactness.  A suite reports the cases whose error is above
-their check's tolerance (``TOLERANCE``) as failure dicts, so the CLI can
-emit a machine-readable report; the acceptance criteria grade the worst
-error of the same cases.  A suite takes a second or two.
+distance from exactness.  ``SUITES`` names each generator, and
+``failures`` keeps the cases whose error is above their check's tolerance
+(``TOLERANCE``), so the CLI can emit a machine-readable report; the
+acceptance criteria grade the worst error of the same cases.  A suite
+takes a second or two.
 """
 
 from __future__ import annotations
@@ -148,20 +149,8 @@ def failures(cases):
     return [case for case in cases if case["error"] > TOLERANCE[case["check"]]]
 
 
-def check_operators():
-    return failures(operator_cases())
-
-
-def check_couplings():
-    return failures(coupling_cases())
-
-
-def check_roundtrip():
-    return failures(roundtrip_cases())
-
-
 SUITES = {
-    "operators": check_operators,
-    "couplings": check_couplings,
-    "roundtrip": check_roundtrip,
+    "operators": operator_cases,
+    "couplings": coupling_cases,
+    "roundtrip": roundtrip_cases,
 }

@@ -212,7 +212,7 @@ def cmd_sample(args):
 
 
 def cmd_check(args):
-    failures = checks.SUITES[args.suite]()
+    failures = checks.failures(checks.SUITES[args.suite]())
     print(json.dumps({"suite": args.suite, "failures": failures}, indent=2))
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 

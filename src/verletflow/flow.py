@@ -176,12 +176,16 @@ class VerletFlow(ParamVector):
         """Cotangents of (q, p) given cotangents ``g_q``, ``g_p`` of the
         field that ``eval_field(state, record)`` evaluated.
 
-        A cotangent may be None (zero; its side's nets are then skipped) or
-        carry leading seed axes in front of the state's shape.  Each side
-        runs k descending, the order a reverse sweep over the evaluation
-        takes, and the result for a side is its own terms' cotangent plus
-        the opposite side's nets' input cotangent.
+        A cotangent may be None (zero) or carry leading seed axes in front
+        of the state's shape.  A side's nets read only the opposite
+        variable, so they are swept backward (``CoefficientNet.vjp``) only
+        when both sides have a cotangent: a side given None comes back
+        None, and ``(g_q, None)`` costs the q-side terms' ``coefficient_vjp``
+        alone.  Each side runs k descending, the order a reverse sweep over
+        the evaluation takes, and the result for a side is its own terms'
+        cotangent plus the opposite side's nets' input cotangent.
         """
+        both = g_q is not None and g_p is not None
         out = {"q": None, "p": None}
         for j, (side, opp, g) in enumerate((("q", "p", g_q), ("p", "q", g_p))):
             if g is None:
@@ -192,11 +196,13 @@ class VerletFlow(ParamVector):
                 coeff, acts = record[j * (self.order + 1) + k]
                 c = self.nets(side)[k]
                 gx_k, g_c = coefficient_vjp(coeff, x, k, c.form, g)
-                g_in = c.vjp(acts, g_c)
                 g_x = gx_k if g_x is None else g_x + gx_k
-                g_opp = g_in if g_opp is None else g_opp + g_in
+                if both:
+                    g_in = c.vjp(acts, g_c)
+                    g_opp = g_in if g_opp is None else g_opp + g_in
             out[side] = g_x if out[side] is None else out[side] + g_x
-            out[opp] = g_opp if out[opp] is None else out[opp] + g_opp
+            if both:
+                out[opp] = g_opp if out[opp] is None else out[opp] + g_opp
         return out["q"], out["p"]
 
     def eval_field_taped(self, q, p, t):

@@ -8,8 +8,13 @@ Two families:
 * a fixed-step RK4 baseline that integrates the continuous change of
   variables.  One routine takes the trace of the field Jacobian from field
   vector-Jacobian products over a bank of seeds: each side's basis vectors
-  (rk4-exact, as reverse-mode autodiff takes it) or the caller's
-  Hutchinson probes (rk4-hutchinson).  Nothing here draws random numbers.
+  (rk4-exact) or the caller's Hutchinson probes (rk4-hutchinson).  A side's
+  coefficient nets read only the opposite variable, so rk4-exact's diagonal
+  blocks pass through no net: its trace costs the closed-form
+  ``coefficient_vjp`` of every term and no net backward pass, as
+  reverse-mode autodiff prunes it when q and p are separate inputs.  Each
+  probe of rk4-hutchinson sweeps every net backward once.  Nothing here
+  draws random numbers.
 
 Both operate on vector states or on batches ``(n, d)``.  A Taylor-Verlet run
 can record its substeps, and ``verlet_vjp`` then differentiates it with
@@ -221,9 +226,10 @@ def _seed_bank(cfg, q, p, eps):
     the number of draws its sum is averaged over.
 
     rk4-exact's one draw is each side's d basis vectors on a leading axis,
-    the other side unseeded: one VJP per side, as reverse-mode autodiff
-    takes a trace.  rk4-hutchinson takes one VJP per probe of the caller's
-    bank ``eps``, shaped ``q.shape[:-1] + (probes, d_q + d_p)``.
+    the other side unseeded: one VJP per side, which reads only that side's
+    own terms and sweeps no net (``VerletFlow.field_vjp``).  rk4-hutchinson
+    takes one VJP per probe of the caller's bank ``eps``, shaped
+    ``q.shape[:-1] + (probes, d_q + d_p)``, each through every net.
     """
     d_q = q.shape[-1]
     if cfg.method == RK4_EXACT:

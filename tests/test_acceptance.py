@@ -5,7 +5,8 @@ quantities.  The expensive artifacts (the trained reference flow and the
 three importance-sampling runs on it) are computed once per session; the
 trained checkpoint is cached under the pytest cache, keyed on the training
 config, the package sources and numpy's version, so iterative runs on
-unchanged code skip the ~3 minute training.  Reference-run magnitudes are
+unchanged code skip the ~3 minute training (a run with the cache plugin
+off trains it every time).  Reference-run magnitudes are
 recorded in docs/reference_run.md.
 """
 
@@ -68,8 +69,10 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="session")
 def trained(request, tmp_path_factory):
-    """(flow, training wall seconds) for the reference trimodal run."""
-    cached = request.config.cache.get(CACHE_KEY, None)
+    """(flow, training wall seconds) for the reference trimodal run; without
+    pytest's cache (``-p no:cacheprovider``) it is trained uncached."""
+    cache = getattr(request.config, "cache", None)
+    cached = cache.get(CACHE_KEY, None) if cache is not None else None
     path = tmp_path_factory.mktemp("reference") / "checkpoint.txt"
     if cached is not None:
         path.write_text(cached["checkpoint"])
@@ -77,9 +80,8 @@ def trained(request, tmp_path_factory):
     flow, rep = train(default_trimodal(), TrainConfig(**REFERENCE_TRAIN))
     assert not rep.diverged and rep.skipped_batches == 0
     save_checkpoint(path, flow)
-    request.config.cache.set(
-        CACHE_KEY, {"checkpoint": path.read_text(), "wall": rep.wall_time}
-    )
+    if cache is not None:
+        cache.set(CACHE_KEY, {"checkpoint": path.read_text(), "wall": rep.wall_time})
     return flow, rep.wall_time
 
 

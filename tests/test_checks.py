@@ -7,7 +7,7 @@ import verletflow.operators as ops
 
 def test_all_suites_clean():
     for suite in checks.SUITES.values():
-        assert suite() == []
+        assert checks.failures(suite()) == []
 
 
 def test_suite_registry():
@@ -24,7 +24,7 @@ def test_operator_suite_catches_sign_bug(monkeypatch):
         return y, logdet
 
     monkeypatch.setattr(ops, "apply_step", buggy)
-    failures = checks.check_operators()
+    failures = checks.failures(checks.operator_cases())
     assert any(f["order"] == 1 for f in failures)
 
 
@@ -44,7 +44,7 @@ def test_roundtrip_suite_catches_broken_inverse(monkeypatch):
         return res
 
     monkeypatch.setattr(checks, "verlet_integrate", biased)
-    failures = checks.check_roundtrip()
+    failures = checks.failures(checks.roundtrip_cases())
     assert failures and all(f["check"] == "roundtrip" for f in failures)
 
 

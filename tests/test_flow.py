@@ -144,12 +144,20 @@ def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed, fd_grad):
                        rtol=1e-6, atol=1e-7)
     assert np.allclose(gp, fd_grad(lambda p: objective(state.q, p), state.p),
                        rtol=1e-6, atol=1e-7)
-    # a leading seed axis carries one cotangent per seed; None is zero
-    sq, sp = flow.field_vjp(state, record, np.stack([wq, -2 * wq]), None)
+    # a leading seed axis carries one cotangent per seed
+    sq, sp = flow.field_vjp(state, record, np.stack([wq, -2 * wq]), np.zeros_like(wp))
     zq, zp = flow.field_vjp(state, record, wq, np.zeros_like(wp))
     assert sq.shape == (2,) + state.q.shape and sp.shape == (2,) + state.p.shape
     assert np.allclose(sq[0], zq, rtol=1e-13, atol=1e-14)
     assert np.allclose(sp[1], -2 * zp, rtol=1e-13, atol=1e-14)
+    # a side given None is not computed, and the other side reads as if it
+    # were given zero
+    gq_only, none_p = flow.field_vjp(state, record, wq, None)
+    none_q, gp_only = flow.field_vjp(state, record, None, wp)
+    assert none_p is None and none_q is None
+    assert np.allclose(gq_only, zq, rtol=1e-13, atol=1e-14)
+    assert np.allclose(gp_only, flow.field_vjp(state, record, np.zeros_like(wq), wp)[1],
+                       rtol=1e-13, atol=1e-14)
 
 
 @pytest.mark.parametrize("order,form", [(0, "diagonal"), (1, "diagonal"),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verletflow.integrators as integ
+from verletflow.autodiff import Mlp
 from verletflow.flow import DENSE, DIAGONAL, PhaseState, VerletFlow
 from verletflow.importance import rademacher_probes
 from verletflow.integrators import (
@@ -419,21 +420,25 @@ def test_field_evaluation_counters(small_flow, rng):
     assert rr.field_evaluations == 4 * 8
 
 
-@pytest.mark.parametrize("method,probes,vjps",
-                         [("rk4-exact", 1, 2), ("rk4-hutchinson", 1, 1),
-                          ("rk4-hutchinson", 3, 3)],
+@pytest.mark.parametrize("method,probes,vjps,net_vjps",
+                         [("rk4-exact", 1, 2, 0), ("rk4-hutchinson", 1, 1, 4),
+                          ("rk4-hutchinson", 3, 3, 12)],
                          ids=["exact", "hutchinson-1", "hutchinson-3"])
-def test_rk4_stage_vjp_count(small_flow, rng, monkeypatch, method, probes, vjps):
-    # a stage takes one field VJP per side (exact) or per probe (Hutchinson)
-    calls = []
-    real = VerletFlow.field_vjp
+def test_rk4_stage_vjp_count(small_flow, rng, monkeypatch, method, probes, vjps, net_vjps):
+    # a stage takes one field VJP per side (exact) or per probe (Hutchinson);
+    # an exact VJP seeds one side and sweeps no net, a probe sweeps all four
+    # of the order-1 flow's nets
+    calls, net_calls = [], []
+    real, real_net = VerletFlow.field_vjp, Mlp.vjp
     monkeypatch.setattr(VerletFlow, "field_vjp",
                         lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(Mlp, "vjp", lambda *args: net_calls.append(1) or real_net(*args))
     state = PhaseState(q=rng.standard_normal((3, 2)),
                        p=rng.standard_normal((3, 2)), t=0.0)
     cfg = IntegratorConfig(steps=1, method=method, hutchinson_probes=probes)
     rk4_integrate(small_flow, state, cfg, probes_for(state, cfg))
     assert len(calls) == 4 * vjps
+    assert len(net_calls) == 4 * net_vjps
 
 
 def test_singularity_becomes_integration_error():
