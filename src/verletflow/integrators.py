@@ -48,15 +48,16 @@ class IntegrationError(RuntimeError):
 class DivergenceError(IntegrationError):
     """The trajectory produced non-finite values: the field itself (not a
     singular draw) is pathological, so callers should treat the current
-    parameters as diverged rather than retry other samples."""
+    parameters as diverged."""
 
 
 # where a row's integration first went non-finite: the step, the substep's
 # side and Taylor order (RK4: the field term's; -1 for the state or the sum)
-# and the first non-finite component; step -1 if it did not.  ``_hold`` sets
-# a failed row back at every update from then on: a Verlet substep to the
-# state and dlogp from before that substep, an RK4 stage input or step end to
-# the step's start.
+# and the first non-finite component; step -1 if it did not.  A Verlet
+# substep's log-det fails at the substep's own site, component 0; an RK4
+# step's dlogp at side "" and order -1.  ``_hold`` sets a failed row back at
+# every update from then on: a Verlet substep to the state and dlogp from
+# before that substep, an RK4 stage input or step end to the step's start.
 FAILURE = np.dtype([("step", np.int64), ("side", "U1"), ("order", np.int64),
                     ("component", np.int64)])
 NO_FAILURE = np.array((-1, "", -1, -1), FAILURE)
@@ -128,12 +129,13 @@ def _hold(failures, checks, old, new):
 @dataclass
 class Substep:
     """What the backward sweep needs from one recorded substep: the step as
-    applied (an inverse step is stored as the forward step at -tau), the
-    state after it, and the coefficient net's layer inputs."""
+    applied (an inverse step is stored as the forward step at -tau), its
+    input ``x`` and output ``y`` on the step's side, and the coefficient
+    net's layer inputs."""
 
     step: ops.OperatorStep
-    q: np.ndarray
-    p: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
     acts: list
 
 
@@ -175,44 +177,37 @@ def verlet_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
             net = flow.nets(side)[k]
             step = ops.OperatorStep(side, k, tau, net(opp, t, acts), net.form)
             y, logdet = ops.apply_step(step, x)
-            y, logdet = _hold(failures, [((i, side, k), y)], (x, 0.0), (y, logdet))
+            y, logdet = _hold(failures, [((i, side, k), y), ((i, side, k), logdet[..., None])],
+                              (x, 0.0), (y, logdet))
             dlogp = dlogp - logdet
-            if side == "q":
-                q = y
-            else:
-                p = y
+            q, p = (y, p) if side == "q" else (q, y)
             if record is not None:
-                record.append(Substep(step, q, p, acts))
+                record.append(Substep(step, x, y, acts))
     return IntegrationResult(PhaseState(q=q, p=p, t=cfg.t1, dlogp=dlogp),
                              cfg.steps * 2 * (flow.order + 1), failures)
 
 
-def verlet_vjp(flow: VerletFlow, start: PhaseState, record, g_q, g_p, g_dlogp):
+def verlet_vjp(flow: VerletFlow, record, g_q, g_p, g_dlogp):
     """Reverse sweep of a recorded ``verlet_integrate`` run: returns
     ``(grad, g_q0, g_p0)``, the gradient w.r.t. the flow parameters (laid
     out as ``flow.params``) and the cotangents of the start q and p.
 
-    ``start`` is the state the run began from, ``record`` the ``Substep``
-    list it filled, and ``g_q``, ``g_p``, ``g_dlogp`` the cotangents of the
-    final q, p and per-sample dlogp.  The sweep pops the substeps off
-    ``record`` in reverse and leaves it empty: each substep is released once
-    swept, so the sweep's temporaries reuse its memory instead of growing
-    the heap.  Each substep's input is the same-side value of the state
-    before it.  dlogp subtracts every substep's log-det, so each log-det's
-    cotangent is ``-g_dlogp``.
+    ``record`` is the ``Substep`` list the run filled, and ``g_q``, ``g_p``,
+    ``g_dlogp`` the cotangents of the final q, p and per-sample dlogp.  The
+    sweep reads nothing but the record: it pops the substeps off in reverse
+    and leaves it empty, so each substep is released once swept and the
+    sweep's temporaries reuse its memory instead of growing the heap.  dlogp
+    subtracts every substep's log-det, so each log-det's cotangent is
+    ``-g_dlogp``.
     """
     grad = np.zeros_like(flow.params)
     g_logdet = -np.asarray(g_dlogp, dtype=np.float64)
     g = {"q": g_q, "p": g_p}
     while record:
         sub = record.pop()
-        step = sub.step
-        side, opp = step.side, "p" if step.side == "q" else "q"
-        before = record[-1] if record else start
-        x = before.q if side == "q" else before.p
-        y = sub.q if side == "q" else sub.p
-        g[side], g_coeff = ops.step_vjp(step, x, y, g[side], g_logdet)
-        c = flow.nets(side)[step.order]
+        side, opp = sub.step.side, "p" if sub.step.side == "q" else "q"
+        g[side], g_coeff = ops.step_vjp(sub.step, sub.x, sub.y, g[side], g_logdet)
+        c = flow.nets(side)[sub.step.order]
         g[opp] = g[opp] + c.vjp(sub.acts, g_coeff, grad[c.span])
     return grad, g["q"], g["p"]
 
@@ -272,8 +267,9 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     place, and takes the trace with ``_trace`` over that record.
     rk4-hutchinson takes its probe bank ``hutchinson_eps`` from the caller
     (``importance.rademacher_probes``) and rk4-exact takes none.  A row
-    whose stage input, field or end state goes non-finite in step i is
-    marked in ``failures`` and keeps the values it started step i with.
+    whose stage input, field, end state or end dlogp goes non-finite in
+    step i is marked in ``failures`` and keeps the values it started step i
+    with.
     """
     if cfg.method not in (RK4_EXACT, RK4_HUTCHINSON):
         raise ValueError(f"rk4_integrate got method {cfg.method!r}")
@@ -308,7 +304,8 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
         q1 = q + tau / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         p1 = p + tau / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         ell1 = ell + tau / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        q, p, ell = _hold(failures, [((i, "q", -1), q1), ((i, "p", -1), p1)],
+        q, p, ell = _hold(failures, [((i, "q", -1), q1), ((i, "p", -1), p1),
+                                     ((i, "", -1), ell1[..., None])],
                           (q, p, ell), (q1, p1, ell1))
         t = cfg.t0 + (i + 1) * tau
     return IntegrationResult(PhaseState(q=q, p=p, t=cfg.t1, dlogp=ell),

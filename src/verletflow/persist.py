@@ -95,7 +95,6 @@ class Config:
     d_q: int = 2
     d_p: int = 2
     order: int = 1
-    hidden_sizes: tuple = (64, 64, 64)
     k1_form: str = "diagonal"
     target: dict = field(default_factory=lambda: {"type": "trimodal"})
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -111,17 +110,17 @@ class Config:
             cfg.d_q = _integer(dims.get("d_q", cfg.d_q), "d_q")
             cfg.d_p = _integer(dims.get("d_p", cfg.d_p), "d_p")
             cfg.order = _integer(data.get("order", cfg.order), "order")
-            hidden = data.get("hidden_sizes", cfg.hidden_sizes)
-            cfg.hidden_sizes = tuple(_integer(h, "hidden_sizes") for h in hidden)
+            hidden = data.get("hidden_sizes", cfg.train.hidden_sizes)
+            hidden = tuple(_integer(h, "hidden_sizes") for h in hidden)
             cfg.k1_form = data.get("k1_form", cfg.k1_form)
             cfg.target = data.get("target", cfg.target)
             cfg.train = _dataclass(TrainConfig, data.get("train", {}), "train",
-                                   hidden_sizes=cfg.hidden_sizes)
+                                   hidden_sizes=hidden)
             cfg.eval = _dataclass(EvalConfig, data.get("eval", {}), "eval")
             if cfg.train.seed < 0 or cfg.eval.seed < 0:
                 raise ConfigError("train and eval seeds must be >= 0")
             # validate the flow's shape and the target spec early
-            VerletFlow.layout(cfg.d_q, cfg.d_p, cfg.order, cfg.hidden_sizes, cfg.k1_form)
+            VerletFlow.layout(cfg.d_q, cfg.d_p, cfg.order, cfg.train.hidden_sizes, cfg.k1_form)
             cfg.build_target()
             return cfg
         except (TypeError, KeyError, ValueError) as err:
@@ -165,7 +164,7 @@ class Config:
         return UnnormalizedDensity(base, logZ_true=logz)
 
     def build_flow(self):
-        return VerletFlow(self.d_q, self.d_p, self.order, hidden=self.hidden_sizes,
+        return VerletFlow(self.d_q, self.d_p, self.order, hidden=self.train.hidden_sizes,
                           seed=self.train.seed, k1_form=self.k1_form)
 
 

@@ -58,13 +58,13 @@ class TrainReport:
 # perfbench/tracing.py wraps ``TapedFlowParams.grad_flat`` by name, so the
 # class keeps its name until the benchmark renames that span.
 class TapedFlowParams:
-    """A recorded ``nll_batch`` run, ready for its reverse sweep."""
+    """A recorded ``nll_batch`` run, ready for its reverse sweep:
+    ``cotangents`` are the loss's w.r.t. the run's final q, p and dlogp."""
 
-    def __init__(self, flow: VerletFlow, start: PhaseState, record, final: PhaseState):
+    def __init__(self, flow: VerletFlow, record, cotangents):
         self.flow = flow
-        self.start = start
         self.record = record
-        self.final = final
+        self.cotangents = cotangents
 
     def grad_flat(self):
         """Loss gradient w.r.t. every flow parameter, laid out as
@@ -74,13 +74,7 @@ class TapedFlowParams:
         """
         if not self.record:
             raise RuntimeError("grad_flat already swept this record")
-        n = self.final.q.shape[0]
-        # loss = mean(dlogp + |x0|^2 / 2) + const, with x0 = (q0, p0)
-        grad, _, _ = verlet_vjp(
-            self.flow, self.start, self.record,
-            self.final.q / n, self.final.p / n, np.full(n, 1.0 / n),
-        )
-        return grad
+        return verlet_vjp(self.flow, self.record, *self.cotangents)[0]
 
 
 def nll_batch(flow: VerletFlow, q_batch, cfg: TrainConfig, rng, *, record=False):
@@ -98,9 +92,8 @@ def nll_batch(flow: VerletFlow, q_batch, cfg: TrainConfig, rng, *, record=False)
         raise ValueError("q_batch must be a nonempty (n, d_q) array")
     p1 = rng.standard_normal((q1.shape[0], flow.d_p))
     icfg = IntegratorConfig(t0=1.0, t1=0.0, steps=cfg.steps, method=TAYLOR_VERLET)
-    state = PhaseState(q=q1, p=p1, t=1.0)
     substeps = [] if record else None
-    res = verlet_integrate(flow, state, icfg, substeps)
+    res = verlet_integrate(flow, PhaseState(q=q1, p=p1, t=1.0), icfg, substeps)
     failed = res.failures[res.failed]
     if failed.size:
         error = IntegrationError if (failed["order"] >= 2).any() else DivergenceError
@@ -114,7 +107,10 @@ def nll_batch(flow: VerletFlow, q_batch, cfg: TrainConfig, rng, *, record=False)
     loss = float(np.mean(-(logpi0 - res.dlogp)))
     if not record:
         return loss
-    return loss, TapedFlowParams(flow, state, substeps, res.state)
+    # loss = mean(dlogp + |x0|^2 / 2) + const, with x0 = (q0, p0)
+    n = len(q1)
+    cotangents = (res.state.q / n, res.state.p / n, np.full(n, 1.0 / n))
+    return loss, TapedFlowParams(flow, substeps, cotangents)
 
 
 class Adam:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verletflow.autodiff import Mlp
+from verletflow.autodiff import Mlp, layer_views
 
 REL_TOL = 1e-5
 
@@ -149,3 +149,7 @@ def test_mlp_rejects_bad_sizes():
         Mlp([3])
     with pytest.raises(ValueError):
         Mlp([3, 0, 2])
+    with pytest.raises(ValueError, match="expected 8 parameters"):
+        layer_views(np.zeros(7), [3, 2])
+    with pytest.raises(ValueError, match="input dim 2 != first layer size 3"):
+        Mlp([3, 2], seed=0)(np.zeros((4, 2)))

@@ -496,6 +496,24 @@ def test_sample_writes_csv(trained_dir, tmp_path):
     assert np.all(np.isfinite(data))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_failure_is_numeric_error(tmp_path, capsys):
+    # an order-2 flow scaled up until some trajectories hit the singular
+    # set: no partial CSV, one error line, exit 3
+    flow = VerletFlow(2, 2, order=2, hidden=[16], seed=0)
+    flow.set_params(flow.params * 3)
+    save_checkpoint(tmp_path / "o2.txt", flow)
+    path = tmp_path / "samples.csv"
+    rc = main(["sample", str(tmp_path / "o2.txt"), "-n", "64", "--steps", "20",
+               "--csv", str(path)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: ")
+    assert captured.err.endswith(" of 64 samples did not integrate\n")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "logz"])
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_non_positive_steps_is_usage_error(trained_dir, tmp_path, capsys,

@@ -78,6 +78,8 @@ def test_integrate_dispatch_checks_method(small_flow, rng):
         verlet_integrate(
             small_flow, state.with_(t=0.5), IntegratorConfig(t0=0.0, t1=1.0)
         )
+    with pytest.raises(ValueError, match="state.t"):
+        rk4_integrate(small_flow, state.with_(t=0.5), IntegratorConfig(method="rk4-exact"))
 
 
 # -- identity flow -----------------------------------------------------------
@@ -220,7 +222,7 @@ def test_verlet_vjp_matches_fd(order, form, t0, t1, rng, fd_grad):
     assert np.array_equal(res.state.q, plain.state.q)
     assert np.array_equal(res.dlogp, plain.dlogp)
     assert len(record) == res.field_evaluations
-    g, g_q0, g_p0 = verlet_vjp(flow, start, record, wq, wp, wl)
+    g, g_q0, g_p0 = verlet_vjp(flow, record, wq, wp, wl)
     assert np.allclose(g_q0, fd_grad(lambda q: objective(q=q), start.q),
                        rtol=1e-5, atol=1e-8)
     assert np.allclose(g_p0, fd_grad(lambda p: objective(p=p), start.p),
@@ -260,8 +262,7 @@ def test_composed_jacobian_logdet_matches_dlogp(order, d):
     record = []
     res = verlet_integrate(flow, start, IntegratorConfig(steps=4), record)
     eye = np.eye(dim)
-    _, g_q0, g_p0 = verlet_vjp(flow, start, record, eye[:, :d], eye[:, d:],
-                               np.zeros(dim))
+    _, g_q0, g_p0 = verlet_vjp(flow, record, eye[:, :d], eye[:, d:], np.zeros(dim))
     jac = np.hstack([g_q0, g_p0])
     # column j of J from the forward map at x0 +- h e_j, all in one batch
     h = 1e-6
@@ -496,6 +497,41 @@ def test_rk4_stage_overflow_is_integration_error(method):
         res = rk4_integrate(flow, state, cfg, probes_for(state, cfg))
     assert res.failures.tolist() == (0, "q", -1, 0)
     assert res.state.q.tolist() == [1e308]
+
+
+def dlogp_overflow_start():
+    return PhaseState(q=[[0.3, -0.2], [0.1, 0.4]], p=[[0.5, 0.1], [-0.2, 0.3]], t=0.0)
+
+
+def test_verlet_logdet_overflow_fails_the_row():
+    # a coefficient of -inf sends q to 0, a finite state, and the log-det to
+    # -inf: the row fails at that substep and holds its start, dlogp 0
+    flow = VerletFlow(2, 2, order=1, hidden=[3], seed=0).zero_()
+    net = flow.q_nets[1].net
+    net.weights[0][:], net.biases[0][:], net.weights[-1][:] = 0.0, 1.0, -1e308
+    state = dlogp_overflow_start()
+    with np.errstate(all="ignore"):
+        res = verlet_integrate(flow, state, IntegratorConfig(steps=2))
+    assert res.failures.tolist() == [(0, "q", 1, 0)] * 2
+    assert np.array_equal(res.state.q, state.q) and np.array_equal(res.state.p, state.p)
+    assert res.dlogp.tolist() == [0.0, 0.0]
+
+
+def test_rk4_trace_overflow_fails_the_row():
+    # finite fields whose Hutchinson trace is NaN: the row fails at the step
+    # end's dlogp site and holds its start, dlogp 0; rk4-exact stays finite
+    flow = VerletFlow(2, 2, order=1, hidden=[3], seed=0)
+    for c in flow.q_nets + flow.p_nets:
+        c.net.weights[0][:], c.net.weights[-1][:], c.net.biases[-1][:] = 0.0, 1e308, 0.01
+    state = dlogp_overflow_start()
+    cfg = IntegratorConfig(steps=2, method="rk4-hutchinson")
+    with np.errstate(all="ignore"):
+        res = rk4_integrate(flow, state, cfg, rademacher_probes(0, range(2), 1, 4))
+        exact = rk4_integrate(flow, state, IntegratorConfig(steps=2, method="rk4-exact"))
+    assert res.failures.tolist() == [(0, "", -1, 0)] * 2
+    assert np.array_equal(res.state.q, state.q) and np.array_equal(res.state.p, state.p)
+    assert res.dlogp.tolist() == [0.0, 0.0]
+    assert not exact.failed.any() and np.isfinite(exact.dlogp).all()
 
 
 # -- probes ------------------------------------------------------------------

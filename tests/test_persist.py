@@ -150,7 +150,7 @@ def test_config_defaults_and_every_key_read_back():
         "dims": {"d_q": 3, "d_p": 1}, "order": 2, "hidden_sizes": [5],
         "k1_form": "dense", "target": {"type": "normal"}, "train": train, "eval": ev,
     })
-    assert cfg == Config(3, 1, 2, (5,), "dense", {"type": "normal"},
+    assert cfg == Config(3, 1, 2, "dense", {"type": "normal"},
                          TrainConfig(hidden_sizes=(5,), **train), EvalConfig(**ev))
 
 

@@ -216,6 +216,27 @@ def test_nll_batch_reads_the_failure_record(order, k, bias, error):
     assert type(exc.value) is error
 
 
+def test_train_stops_on_a_non_finite_update(monkeypatch):
+    # a gradient that makes Adam's update non-finite ends training as
+    # diverged with the last good epoch's params; the callback has seen
+    # each trained epoch once
+    import verletflow.training as tr
+
+    target = standard_normal(2)
+    good, _ = train(target, tiny_cfg(epochs=2))
+    real, calls = tr.TapedFlowParams.grad_flat, []
+
+    def poisoned(self):
+        grad = real(self)
+        return np.full_like(grad, np.inf) if len(calls) == 2 else grad
+
+    monkeypatch.setattr(tr.TapedFlowParams, "grad_flat", poisoned)
+    flow, rep = train(target, tiny_cfg(epochs=5), callback=lambda *a: calls.append(a))
+    assert rep.diverged and len(rep.nll_per_epoch) == 2
+    assert calls == list(enumerate(rep.nll_per_epoch))
+    assert np.array_equal(flow.get_params(), good.get_params())
+
+
 def test_train_divergence_keeps_last_good_params(monkeypatch):
     import verletflow.training as tr
 
