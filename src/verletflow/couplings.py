@@ -94,11 +94,20 @@ def as_verlet_steps(layer: CouplingLayer, tau):
             )
         ]
 
+    # both steps act on layer.side, so they read one opposite array: the
+    # shift step hands its scale on to the scale step, and the scale net
+    # runs once per composition
+    held = []
+
     def shift_coeff(opp):
-        return layer.shift_net(opp) / (tau * np.exp(layer.scale_net(opp)))
+        scale = layer.scale_net(opp)
+        held[:] = [(opp, scale)]
+        return layer.shift_net(opp) / (tau * np.exp(scale))
 
     def scale_coeff(opp):
-        return layer.scale_net(opp) / tau
+        scale = held[0][1] if held and held[0][0] is opp else layer.scale_net(opp)
+        held.clear()
+        return scale / tau
 
     return [
         VerletStepSpec(layer.side, 0, tau, shift_coeff),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Mlp, ParamVector, param_count
-from .operators import DENSE, DIAGONAL, apply_coefficient, coefficient_vjp
+from .operators import DENSE, DIAGONAL, apply_coefficient, coefficient_vjp, operand_vjp
 
 
 class OrderError(ValueError):
@@ -98,7 +98,8 @@ class VerletFlow(ParamVector):
 
     All parameters live in one flat array, ``params``, in checkpoint order:
     q-side nets k ascending, then p-side, each in the ``layer_views``
-    layout; every net's weights and biases are views into it.
+    layout; every net's weights and biases are views into it, and
+    ``set_params`` remakes every net's weight copies (``Mlp._remake``).
     """
 
     def __init__(self, d_q, d_p, order, hidden=(64, 64, 64), seed=0, k1_form=DIAGONAL):
@@ -114,6 +115,15 @@ class VerletFlow(ParamVector):
         for sub, (side, k, form, sizes, span) in enumerate(layout):
             mlp = Mlp(sizes, seed=(seed, sub), params=self.params[span])
             self.nets(side).append(CoefficientNet(side, k, mlp, form, span))
+        self._lock(self.params)
+
+    @property
+    def _args(self):
+        return (self.d_q, self.d_p, self.order, self.hidden_sizes, 0, self.k1_form)
+
+    def _remake(self):
+        for c in self.q_nets + self.p_nets:
+            c.net._remake()
 
     @staticmethod
     def layout(d_q, d_p, order, hidden, k1_form=DIAGONAL):
@@ -150,9 +160,11 @@ class VerletFlow(ParamVector):
 
     # -- field evaluation ---------------------------------------------------
 
-    def eval_field(self, state: PhaseState, record):
-        """(dq/dt, dp/dt): per side, the sum over k = 0..order of the
-        Taylor term s_k applied k-fold to the same-side variable.
+    def eval_field(self, q, p, t, record):
+        """(dq/dt, dp/dt) at the arrays ``q``, ``p`` and time ``t``: per
+        side, the sum over k = 0..order of the Taylor term s_k applied
+        k-fold to the same-side variable.  Nothing is checked: the caller
+        passes a state it has checked (``PhaseState`` or ``_hold``).
 
         The list ``record`` holds ``(coeff, acts)`` per (side, k), q-side
         first and k ascending: the realized coefficient and its net's layer
@@ -160,11 +172,11 @@ class VerletFlow(ParamVector):
         """
         out = []
         i = 0
-        for side, x, opp in (("q", state.q, state.p), ("p", state.p, state.q)):
+        for side, x, opp in (("q", q, p), ("p", p, q)):
             total = None
             for c in self.nets(side):
                 acts = record[i][1] if i < len(record) else []
-                coeff = c(opp, state.t, acts)
+                coeff = c(opp, t, acts)
                 record[i:i + 1] = [(coeff, acts)]
                 i += 1
                 term = apply_coefficient(coeff, x, c.order, c.form)
@@ -172,34 +184,39 @@ class VerletFlow(ParamVector):
             out.append(total)
         return tuple(out)
 
-    def field_vjp(self, state: PhaseState, record, g_q, g_p):
+    def field_vjp(self, q, p, record, g_q, g_p):
         """Cotangents of (q, p) given cotangents ``g_q``, ``g_p`` of the
-        field that ``eval_field(state, record)`` evaluated.
+        field that ``eval_field(q, p, t, record)`` evaluated.
 
         A cotangent may be None (zero) or carry leading seed axes in front
         of the state's shape.  A side's nets read only the opposite
         variable, so they are swept backward (``CoefficientNet.vjp``) only
         when both sides have a cotangent: a side given None comes back
-        None, and ``(g_q, None)`` costs the q-side terms' ``coefficient_vjp``
-        alone.  Each side runs k descending, the order a reverse sweep over
-        the evaluation takes, and the result for a side is its own terms'
-        cotangent plus the opposite side's nets' input cotangent.
+        None, and ``(g_q, None)`` costs the q-side terms' ``operand_vjp``
+        alone, which forms no coefficient cotangent.  Each side runs k
+        descending, the order a reverse sweep over the evaluation takes, and
+        the result for a side is its own terms' cotangent plus the opposite
+        side's nets' input cotangent.
         """
         both = g_q is not None and g_p is not None
         out = {"q": None, "p": None}
-        for j, (side, opp, g) in enumerate((("q", "p", g_q), ("p", "q", g_p))):
+        for j, (side, opp, x, g) in enumerate((("q", "p", q, g_q), ("p", "q", p, g_p))):
             if g is None:
                 continue
-            x = state.q if side == "q" else state.p
             g_x = g_opp = None
             for k in range(self.order, -1, -1):
                 coeff, acts = record[j * (self.order + 1) + k]
                 c = self.nets(side)[k]
-                gx_k, g_c = coefficient_vjp(coeff, x, k, c.form, g)
-                g_x = gx_k if g_x is None else g_x + gx_k
                 if both:
+                    gx_k, g_c = coefficient_vjp(coeff, x, k, c.form, g)
                     g_in = c.vjp(acts, g_c)
                     g_opp = g_in if g_opp is None else g_opp + g_in
+                else:
+                    gx_k = operand_vjp(coeff, x, k, c.form, g)
+                if gx_k is not None:
+                    g_x = gx_k if g_x is None else g_x + gx_k
+            if g_x is None:  # an order-0 field does not depend on x
+                g_x = np.zeros(np.broadcast_shapes(np.shape(g), np.shape(x)))
             out[side] = g_x if out[side] is None else out[side] + g_x
             if both:
                 out[opp] = g_opp if out[opp] is None else out[opp] + g_opp

@@ -241,18 +241,19 @@ def _seed_bank(cfg, q, p, eps):
     return [(v[..., :d_q], v[..., d_q:]) for v in probes], len(probes)
 
 
-def _trace(flow, state, record, bank):
+def _trace(flow, q, p, record, bank):
     """Per-sample sum of v . (v^T J) over the seeds v of ``bank``, with J
-    the field Jacobian restricted to (q, p) that ``record`` evaluated.
+    the field Jacobian restricted to (q, p) that ``record`` evaluated at
+    ``q`` and ``p``.
 
     Each ``(v_q, v_p)`` of ``bank`` is one ``field_vjp``; a side's seed is
     None (unseeded) or stacks seeds on leading axes in front of the state's
     shape.  Terms are added seed after seed, q side before p side.
     """
-    lead = state.q.shape[:-1]
+    lead = q.shape[:-1]
     total = np.zeros(lead)
     for seeds in bank:
-        for v, g in zip(seeds, flow.field_vjp(state, record, *seeds)):
+        for v, g in zip(seeds, flow.field_vjp(q, p, record, *seeds)):
             if v is not None:
                 for term in (g * v).sum(axis=-1).reshape((-1,) + lead):
                     total = total + term
@@ -264,7 +265,8 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     """Classic RK4 on (q, p, l) from ``state.dlogp`` with dl/dt = -tr J.
 
     Each stage evaluates the field into the run's one record, refilled in
-    place, and takes the trace with ``_trace`` over that record.
+    place, and takes the trace with ``_trace`` over that record.  A stage
+    input is checked once, by ``_hold``, and handed on as arrays.
     rk4-hutchinson takes its probe bank ``hutchinson_eps`` from the caller
     (``importance.rademacher_probes``) and rk4-exact takes none.  A row
     whose stage input, field, end state or end dlogp goes non-finite in
@@ -285,15 +287,14 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
 
     def deriv(i, qq, pp, t):
         qq, pp = _hold(failures, [((i, "q", -1), qq), ((i, "p", -1), pp)], (q, p), (qq, pp))
-        st = PhaseState(q=qq, p=pp, t=min(max(t, 0.0), 1.0))
-        field = flow.eval_field(st, record)
+        field = flow.eval_field(qq, pp, min(max(t, 0.0), 1.0), record)
         for j, (side, x, f) in enumerate(zip("qp", (qq, pp), field)):
             if not np.isfinite(f).all():
                 for k, c in enumerate(flow.nets(side)):
                     coeff = record[j * (flow.order + 1) + k][0]
                     _mark(failures, (i, side, k), ops.apply_coefficient(coeff, x, k, c.form))
                 _mark(failures, (i, side, -1), f)
-        return (*field, -(_trace(flow, st, record, bank) / draws))
+        return (*field, -(_trace(flow, qq, pp, record, bank) / draws))
 
     t = cfg.t0
     for i in range(cfg.steps):

@@ -194,20 +194,32 @@ def step_vjp(step: OperatorStep, x, y, gy, gl):
     return gx, gc
 
 
+def operand_vjp(coeff, x, k, form, g):
+    """The x cotangent of ``apply_coefficient(coeff, x, k, form)`` given its
+    output cotangent ``g``, which may carry leading seed axes; None for the
+    k=0 term, which does not depend on x."""
+    if k == 0:
+        return None
+    if k == 1:
+        if form == DENSE:
+            # y = M x:  g_x = M^T g
+            return np.einsum("...ij,...i->...j", _matrix(coeff, x), g)
+        return g * coeff
+    c = float(k)
+    return g * coeff * c * x ** (c - 1.0)
+
+
 def coefficient_vjp(coeff, x, k, form, g):
     """Cotangents (g_x, g_coeff) of ``apply_coefficient(coeff, x, k, form)``
     given its output cotangent ``g``, which may carry leading seed axes.
 
     The products are grouped as a reverse sweep over ``coeff * x**k``
-    groups them; the k=0 term does not depend on x.
+    groups them; g_x is ``operand_vjp``'s, zero for the k=0 term.
     """
     if k == 0:
         return np.zeros(np.broadcast_shapes(np.shape(g), np.shape(x))), g
+    g_x = operand_vjp(coeff, x, k, form, g)
     if k == 1:
-        if form == DENSE:
-            # y = M x:  g_x = M^T g,  g_M = g (outer) x
-            g_x = np.einsum("...ij,...i->...j", _matrix(coeff, x), g)
-            return g_x, g[..., :, None] * x[..., None, :]
-        return g * coeff, g * x
-    c = float(k)
-    return g * coeff * c * x ** (c - 1.0), g * x ** c
+        # y = M x:  g_M = g (outer) x
+        return g_x, g[..., :, None] * x[..., None, :] if form == DENSE else g * x
+    return g_x, g * x ** float(k)

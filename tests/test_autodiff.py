@@ -2,6 +2,8 @@
 parameter VJPs against an analytic Jacobian and against central finite
 differences (the shared ``fd_grad`` fixture), and its parameter plumbing."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,34 @@ def test_mlp_rejects_bad_sizes():
         layer_views(np.zeros(7), [3, 2])
     with pytest.raises(ValueError, match="input dim 2 != first layer size 3"):
         Mlp([3, 2], seed=0)(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("rows", [128, 1024])
+def test_set_params_remakes_the_weight_copies(rows, rng):
+    """A net given another's parameters by ``set_params``, or rebuilt from a
+    pickle, computes the forward of the net that drew them byte for byte,
+    hidden copies included, and keeps its hidden weights read-only."""
+    built = Mlp([3, 64, 64, 64, 2], seed=1)
+    into = Mlp([3, 64, 64, 64, 2], seed=2)
+    into.set_params(built.params)
+    x = rng.standard_normal((rows, 3))
+    for net in (into, pickle.loads(pickle.dumps(built))):
+        assert net(x).tobytes() == built(x).tobytes()
+        assert not (net.params.flags.writeable or net.weights[1].flags.writeable)
+
+
+def test_only_set_params_writes_the_hidden_weights():
+    """Hidden-to-hidden weights and ``params`` are read-only, so no write can
+    leave a weight copy stale; the first and output layers stay writable."""
+    mlp = Mlp([3, 8, 8, 2], seed=0)
+    x = np.ones((20, 3))
+    with pytest.raises(ValueError, match="read-only"):
+        mlp.weights[1][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mlp.params[:] = 0.0
+    mlp.weights[0][:] = 0.5
+    mlp.weights[-1][:] *= 2.0
+    mlp.biases[-1][:] = 1.0
+    fresh = Mlp([3, 8, 8, 2], seed=1)
+    fresh.set_params(mlp.params)
+    assert mlp(x).tobytes() == fresh(x).tobytes()

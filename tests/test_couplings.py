@@ -128,3 +128,20 @@ def test_batched_layers(rng):
         qi, pi, ldi = apply_coupling(layer, q[i], p[i])
         assert np.allclose(q1[i], qi, atol=0.0)
         assert np.isclose(ld[i], ldi, atol=0.0)
+
+
+def test_affine_composition_runs_each_net_once(rng):
+    """Both steps of an affine layer read one opposite variable, so the
+    composition evaluates the scale net once, as the layer itself does."""
+    layer = make_layers(7)[3]
+    calls = []
+    for name in ("shift_net", "scale_net"):
+        net = getattr(layer, name)
+        setattr(layer, name, lambda x, net=net, name=name: calls.append(name) or net(x))
+    q, p = rng.standard_normal((4, D_Q)), rng.standard_normal((4, D_P))
+    direct = apply_coupling(layer, q, p)
+    assert sorted(calls) == ["scale_net", "shift_net"]
+    calls.clear()
+    composed = apply_verlet_steps(as_verlet_steps(layer, 0.5), q, p)
+    assert sorted(calls) == ["scale_net", "shift_net"]
+    assert np.abs(direct[1] - composed[1]).max() < 1e-12

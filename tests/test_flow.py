@@ -1,5 +1,7 @@
 """Phase-space state, coefficient nets, and the split vector field."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from verletflow.flow import (
     apply_coefficient,
 )
 from verletflow.integrators import IntegratorConfig, rk4_integrate
+from verletflow.persist import load_checkpoint, save_checkpoint
 
 
 # -- PhaseState --------------------------------------------------------------
@@ -102,7 +105,7 @@ def test_constructor_validates_shape():
 def test_eval_field_is_sum_of_terms(rng):
     flow = VerletFlow(2, 2, order=2, hidden=[8], seed=3)
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.4)
-    fq, fp = flow.eval_field(state, [])
+    fq, fp = flow.eval_field(state.q, state.p, state.t, [])
     sq = sum(apply_coefficient(flow.nets("q")[k](state.p, state.t), state.q, k)
              for k in range(3))
     sp = sum(apply_coefficient(flow.nets("p")[k](state.q, state.t), state.p, k)
@@ -128,35 +131,33 @@ def test_field_vjp_matches_fd(order, d_q, d_p, rows, dense, seed, fd_grad):
     flow = VerletFlow(d_q, d_p, order=order, hidden=[5],
                       seed=seed % 997, k1_form=form)
     lead = () if rows is None else (rows,)
-    state = PhaseState(q=rng.standard_normal(lead + (d_q,)),
-                       p=rng.standard_normal(lead + (d_p,)), t=rng.uniform())
-    wq, wp = rng.standard_normal(state.q.shape), rng.standard_normal(state.p.shape)
+    q0, p0 = rng.standard_normal(lead + (d_q,)), rng.standard_normal(lead + (d_p,))
+    t = rng.uniform()
+    wq, wp = rng.standard_normal(q0.shape), rng.standard_normal(p0.shape)
 
     def objective(q, p):
-        fq, fp = flow.eval_field(PhaseState(q=q, p=p, t=state.t), [])
+        fq, fp = flow.eval_field(q, p, t, [])
         return float((wq * fq).sum() + (wp * fp).sum())
 
     record = []
-    flow.eval_field(state, record)
+    flow.eval_field(q0, p0, t, record)
     assert len(record) == 2 * (order + 1)
-    gq, gp = flow.field_vjp(state, record, wq, wp)
-    assert np.allclose(gq, fd_grad(lambda q: objective(q, state.p), state.q),
-                       rtol=1e-6, atol=1e-7)
-    assert np.allclose(gp, fd_grad(lambda p: objective(state.q, p), state.p),
-                       rtol=1e-6, atol=1e-7)
+    gq, gp = flow.field_vjp(q0, p0, record, wq, wp)
+    assert np.allclose(gq, fd_grad(lambda q: objective(q, p0), q0), rtol=1e-6, atol=1e-7)
+    assert np.allclose(gp, fd_grad(lambda p: objective(q0, p), p0), rtol=1e-6, atol=1e-7)
     # a leading seed axis carries one cotangent per seed
-    sq, sp = flow.field_vjp(state, record, np.stack([wq, -2 * wq]), np.zeros_like(wp))
-    zq, zp = flow.field_vjp(state, record, wq, np.zeros_like(wp))
-    assert sq.shape == (2,) + state.q.shape and sp.shape == (2,) + state.p.shape
+    sq, sp = flow.field_vjp(q0, p0, record, np.stack([wq, -2 * wq]), np.zeros_like(wp))
+    zq, zp = flow.field_vjp(q0, p0, record, wq, np.zeros_like(wp))
+    assert sq.shape == (2,) + q0.shape and sp.shape == (2,) + p0.shape
     assert np.allclose(sq[0], zq, rtol=1e-13, atol=1e-14)
     assert np.allclose(sp[1], -2 * zp, rtol=1e-13, atol=1e-14)
     # a side given None is not computed, and the other side reads as if it
     # were given zero
-    gq_only, none_p = flow.field_vjp(state, record, wq, None)
-    none_q, gp_only = flow.field_vjp(state, record, None, wp)
+    gq_only, none_p = flow.field_vjp(q0, p0, record, wq, None)
+    none_q, gp_only = flow.field_vjp(q0, p0, record, None, wp)
     assert none_p is None and none_q is None
     assert np.allclose(gq_only, zq, rtol=1e-13, atol=1e-14)
-    assert np.allclose(gp_only, flow.field_vjp(state, record, np.zeros_like(wq), wp)[1],
+    assert np.allclose(gp_only, flow.field_vjp(q0, p0, record, np.zeros_like(wq), wp)[1],
                        rtol=1e-13, atol=1e-14)
 
 
@@ -167,27 +168,27 @@ def test_eval_field_refills_a_record_in_place(order, form, rng):
     """A record passed again keeps its lists and hidden arrays, and holds
     the bits, and gives the field_vjp, of a fresh record at the new state."""
     flow = VerletFlow(2, 3, order=order, hidden=[16, 8, 32], seed=order, k1_form=form)
-    first, second = (PhaseState(q=rng.standard_normal((6, 2)),
-                                p=rng.standard_normal((6, 3)), t=t) for t in (0.2, 0.7))
+    first, second = ((rng.standard_normal((6, 2)), rng.standard_normal((6, 3)), t)
+                     for t in (0.2, 0.7))
     record, fresh = [], []
-    flow.eval_field(first, record)
+    flow.eval_field(*first, record)
     held = [(acts, acts[1:]) for _, acts in record]
-    field = flow.eval_field(second, record)
-    for got, want in zip(field, flow.eval_field(second, fresh), strict=True):
+    field = flow.eval_field(*second, record)
+    for got, want in zip(field, flow.eval_field(*second, fresh), strict=True):
         assert np.array_equal(got, want)
     for (coeff, acts), (lst, hidden), (coeff0, acts0) in zip(record, held, fresh, strict=True):
         assert acts is lst and all(a is b for a, b in zip(acts[1:], hidden, strict=True))
         assert np.array_equal(coeff, coeff0)
         assert all(np.array_equal(a, b) for a, b in zip(acts, acts0, strict=True))
     wq, wp = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
-    for got, want in zip(flow.field_vjp(second, record, wq, wp),
-                         flow.field_vjp(second, fresh, wq, wp), strict=True):
+    for got, want in zip(flow.field_vjp(*second[:2], record, wq, wp),
+                         flow.field_vjp(*second[:2], fresh, wq, wp), strict=True):
         assert np.array_equal(got, want)
 
 
 def test_zeroed_flow_field_vanishes(identity_flow, rng):
     state = PhaseState(q=rng.standard_normal(2), p=rng.standard_normal(2), t=0.7)
-    fq, fp = identity_flow.eval_field(state, [])
+    fq, fp = identity_flow.eval_field(state.q, state.p, state.t, [])
     assert np.array_equal(fq, np.zeros(2))
     assert np.array_equal(fp, np.zeros(2))
 
@@ -289,3 +290,22 @@ def test_set_params_size_mismatch():
         with pytest.raises(ValueError):
             flow.set_params(bad)
     assert np.array_equal(flow.params, before)
+
+
+@pytest.mark.parametrize("rows", [128, 1024])
+def test_flow_set_params_load_and_pickle_remake_the_weight_copies(rows, rng, tmp_path):
+    """``set_params``, ``load_checkpoint`` and a pickle round trip each give
+    a flow whose field is, byte for byte, that of the flow that drew its
+    parameters; the copies' views stay read-only in all three."""
+    built = VerletFlow(2, 2, order=1, hidden=(64, 64, 64), seed=1)
+    into = VerletFlow(2, 2, order=1, hidden=(64, 64, 64), seed=2)
+    into.set_params(built.params)
+    save_checkpoint(tmp_path / "ck.txt", built)
+    q, p = rng.standard_normal((rows, 2)), rng.standard_normal((rows, 2))
+    want = built.eval_field(q, p, 0.3, [])
+    for flow in (into, load_checkpoint(tmp_path / "ck.txt"), pickle.loads(pickle.dumps(built))):
+        for got, ref in zip(flow.eval_field(q, p, 0.3, []), want, strict=True):
+            assert got.tobytes() == ref.tobytes()
+        for c in flow.q_nets + flow.p_nets:
+            assert np.shares_memory(c.net.params, flow.params)
+            assert not (flow.params.flags.writeable or c.net.weights[1].flags.writeable)

@@ -220,9 +220,9 @@ def test_rk4_refilled_record_matches_fresh_records(normal_target, method, monkey
     refilled = log_weights(flow, normal_target, 1100, cfg)
     eval_field = VerletFlow.eval_field
 
-    def fresh(self, state, record):
+    def fresh(self, q, p, t, record):
         record.clear()
-        return eval_field(self, state, record)
+        return eval_field(self, q, p, t, record)
 
     monkeypatch.setattr(VerletFlow, "eval_field", fresh)
     assert np.isfinite(refilled).all()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verletflow.flow as flow_module
 import verletflow.integrators as integ
 from verletflow.autodiff import Mlp
 from verletflow.flow import DENSE, DIAGONAL, PhaseState, VerletFlow
@@ -336,7 +337,7 @@ def _random_field(order, d_q, d_p, rows, dense, seed):
     state = PhaseState(q=rng.standard_normal(lead + (d_q,)),
                        p=rng.standard_normal(lead + (d_p,)), t=rng.uniform())
     record = []
-    flow.eval_field(state, record)
+    flow.eval_field(state.q, state.p, state.t, record)
     return flow, state, record, rng
 
 
@@ -367,7 +368,7 @@ def test_exact_trace_matches_closed_form(order, d_q, d_p, rows, dense, seed):
     bank, draws = integ._seed_bank(IntegratorConfig(method="rk4-exact"),
                                    state.q, state.p, None)
     assert draws == 1
-    got = integ._trace(flow, state, record, bank)
+    got = integ._trace(flow, state.q, state.p, record, bank)
     assert np.shape(got) == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -387,14 +388,14 @@ def test_hutchinson_trace_is_probe_quadratic_form(order, d_q, d_p, rows, dense,
     for i in range(d_q + d_p):
         e = np.zeros(lead + (d_q + d_p,))
         e[..., i] = 1.0
-        gq, gp = flow.field_vjp(state, record, e[..., :d_q], e[..., d_q:])
+        gq, gp = flow.field_vjp(state.q, state.p, record, e[..., :d_q], e[..., d_q:])
         rows_j.append(np.concatenate([gq, gp], axis=-1))
     jac = np.stack(rows_j, axis=-2)  # (..., out, in)
     eps = probes_bank.astype(np.float64)  # (..., probes, d)
     want = np.einsum("...ja,...ab,...jb->...j", eps, jac, eps).mean(axis=-1)
     bank, draws = integ._seed_bank(cfg, state.q, state.p, probes_bank)
     assert draws == probes
-    got = integ._trace(flow, state, record, bank) / draws
+    got = integ._trace(flow, state.q, state.p, record, bank) / draws
     assert np.shape(got) == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -427,19 +428,22 @@ def test_field_evaluation_counters(small_flow, rng):
                          ids=["exact", "hutchinson-1", "hutchinson-3"])
 def test_rk4_stage_vjp_count(small_flow, rng, monkeypatch, method, probes, vjps, net_vjps):
     # a stage takes one field VJP per side (exact) or per probe (Hutchinson);
-    # an exact VJP seeds one side and sweeps no net, a probe sweeps all four
-    # of the order-1 flow's nets
-    calls, net_calls = [], []
-    real, real_net = VerletFlow.field_vjp, Mlp.vjp
+    # an exact VJP seeds one side, forms no coefficient cotangent and sweeps
+    # no net, a probe forms one per net and sweeps all four of the order-1
+    # flow's nets
+    calls, net_calls, coeff_calls = [], [], []
+    real, real_net, real_coeff = VerletFlow.field_vjp, Mlp.vjp, flow_module.coefficient_vjp
     monkeypatch.setattr(VerletFlow, "field_vjp",
                         lambda *args: calls.append(1) or real(*args))
     monkeypatch.setattr(Mlp, "vjp", lambda *args: net_calls.append(1) or real_net(*args))
+    monkeypatch.setattr(flow_module, "coefficient_vjp",
+                        lambda *args: coeff_calls.append(1) or real_coeff(*args))
     state = PhaseState(q=rng.standard_normal((3, 2)),
                        p=rng.standard_normal((3, 2)), t=0.0)
     cfg = IntegratorConfig(steps=1, method=method, hutchinson_probes=probes)
     rk4_integrate(small_flow, state, cfg, probes_for(state, cfg))
     assert len(calls) == 4 * vjps
-    assert len(net_calls) == 4 * net_vjps
+    assert len(net_calls) == len(coeff_calls) == 4 * net_vjps
 
 
 def test_singularity_becomes_integration_error():
