@@ -146,9 +146,9 @@ class Mlp(ParamVector):
         """Plain numpy forward pass; ``x`` is ``(in_dim,)`` or ``(n, in_dim)``.
 
         ``acts``, if given, is the list that holds the input of every layer
-        (``x`` and each hidden activation), which ``vjp`` reads back.  A
-        hidden layer overwrites the list's array in its place when the
-        shapes match and takes a fresh one otherwise: a new list is a
+        (``x`` and each hidden activation), which ``vjp`` reads back.  The
+        hidden layers overwrite the list's arrays when all their shapes
+        match and take fresh ones together otherwise: a new list is a
         record, and a list passed again a workspace that keeps the large
         activations off the allocator.  The output is always fresh.
         """
@@ -159,13 +159,11 @@ class Mlp(ParamVector):
             )
         if acts is None:
             acts = []
-        del acts[len(self.weights):]
-        acts[:1] = [x]
         shapes = [x.shape[:-1] + (n,) for n in self.layer_sizes[1:-1]]
-        if [a.shape for a in acts[1:]] != shapes:
-            old = acts[1:]
-            acts[1:] = [old[i] if i < len(old) and old[i].shape == s else np.empty(s)
-                        for i, s in enumerate(shapes)]
+        if [a.shape for a in acts[1:]] == shapes:
+            acts[:1] = [x]
+        else:
+            acts[:] = [x] + [np.empty(s) for s in shapes]
         # bias and tanh in place on the matmul result
         for a, w, b in zip(acts[1:], self._rhs, self.biases):
             x = np.matmul(x, w, out=a)

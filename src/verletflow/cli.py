@@ -136,6 +136,9 @@ def cmd_estimate(args):
         if ev.samples - report.invalid_count < SD_BATCHES:
             raise IntegrationError(f"{report.invalid_count} of {ev.samples} samples failed, "
                                    f"fewer than {SD_BATCHES} valid [{method}]")
+        if not np.isfinite([report.logZ, report.sd]).all():
+            raise IntegrationError(f"non-finite estimate logZ = {report.logZ:.6g} "
+                                   f"+- {report.sd:.6g} [{method}]")
         reports.append(report)
     args.write(args, target, reports)
     return EXIT_OK

@@ -167,6 +167,9 @@ def _curve_points(n):
     return pts
 
 
+# the estimator's error state: weights too far apart or too large give an
+# infinite sub-batch SD, which the caller rejects, and no warning
+@np.errstate(all="ignore")
 def estimate_logZ(flow, target, n, cfg, workers=1):
     """Running log Z curve from n log-weights.
 

@@ -278,8 +278,7 @@ def rk4_integrate(flow: VerletFlow, state: PhaseState, cfg: IntegratorConfig,
     if abs(state.t - cfg.t0) > 1e-12:
         raise ValueError(f"state.t={state.t} != cfg.t0={cfg.t0}")
     tau = cfg.tau
-    q = state.q.copy()
-    p = state.p.copy()
+    q, p = state.q, state.p
     ell = np.zeros(q.shape[:-1]) + state.dlogp
     bank, draws = _seed_bank(cfg, q, p, hutchinson_eps)
     record = []  # one record for the run, refilled at every stage

