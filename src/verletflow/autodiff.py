@@ -110,29 +110,32 @@ class Mlp(ParamVector):
             w[:] = rng.uniform(-bound, bound, size=w.shape)
             b[:] = 0.0
         self._lock(params)
-        for w in self.weights[1:-1]:
-            w.flags.writeable = False
-        last = len(self.weights) - 1
-        self._rhs = [w.T.copy() if 0 < i < last else w.T for i, w in enumerate(self.weights)]
+        for a in self.weights[:-1] + self.biases[:-1]:
+            a.flags.writeable = False
+        self._rhs = [np.empty((w.shape[1] + 1, w.shape[0])) for w in self.weights[:-1]]
+        self._remake()
 
     @property
     def _args(self):
         return (self.layer_sizes,)
 
     def _remake(self):
-        """Refill the weight copies in ``_rhs``, the right operand of each
-        layer's product.
+        """Refill ``_rhs``, the C-contiguous ``(n_in + 1, n_out)`` right
+        operand ``[W.T ; b]`` of every layer but the output.
 
-        A hidden-to-hidden layer multiplies by a C-contiguous copy of
-        ``W.T``: a 64x64 product of 128 rows runs about 1.4x faster that way
-        than by the transposed view on OpenBLAS, and from 19 rows of a 2-D
-        input both give the same bits.  Its ``W`` view is read-only, so that
-        only ``set_params`` changes it and the copy is never stale.  The
-        first and output layers keep the view (a contiguous copy of a 64->2
-        output layer changes bits at 1024 rows).
+        A layer's input carries a ones column (``__call__``), so one GEMM
+        gives ``x @ W.T + b`` with the bits of the product and the add done
+        apart, and a 64x64 product of 128 rows runs about 1.4x faster by a
+        contiguous copy than by the transposed view on OpenBLAS.  These
+        layers' ``W`` and ``b`` views are read-only, so that only
+        ``set_params`` changes them and a copy is never stale.  The output
+        layer keeps the ``W.T`` view and a separate bias add, writable for
+        ``zero_`` (a contiguous copy of a 64->2 output layer changes bits at
+        1024 rows).
         """
-        for rhs, w in zip(self._rhs[1:-1], self.weights[1:-1]):
-            rhs[:] = w.T
+        for rhs, w, b in zip(self._rhs, self.weights, self.biases):
+            rhs[:-1] = w.T
+            rhs[-1] = b
 
     @property
     def in_dim(self):
@@ -143,33 +146,39 @@ class Mlp(ParamVector):
         return self.layer_sizes[-1]
 
     def __call__(self, x, acts=None):
-        """Plain numpy forward pass; ``x`` is ``(in_dim,)`` or ``(n, in_dim)``.
+        """Plain numpy forward pass; ``x`` is ``(in_dim,)`` or ``(n, in_dim)``,
+        or the first layer's input itself, ``x`` with a ones column appended
+        (``in_dim + 1`` wide), which the call keeps without a copy.
 
         ``acts``, if given, is the list that holds the input of every layer
-        (``x`` and each hidden activation), which ``vjp`` reads back.  The
-        hidden layers overwrite the list's arrays when all their shapes
-        match and take fresh ones together otherwise: a new list is a
-        record, and a list passed again a workspace that keeps the large
-        activations off the allocator.  The output is always fresh.
+        (the net input and each hidden activation, each ending in a ones
+        column), which ``vjp`` reads back.  The hidden layers overwrite the
+        list's arrays when all their shapes match and take fresh ones
+        together otherwise: a new list is a record, and a list passed again
+        a workspace that keeps the large activations off the allocator.  The
+        output is always fresh.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.in_dim:
-            raise ValueError(
-                f"input dim {x.shape[-1]} != first layer size {self.in_dim}"
-            )
+        lead, width = x.shape[:-1], x.shape[-1]
+        if width == self.in_dim:
+            x = np.concatenate((x, np.ones(lead + (1,))), axis=-1)
+        elif width != self.in_dim + 1:
+            raise ValueError(f"input dim {width} != first layer size {self.in_dim}")
         if acts is None:
             acts = []
-        shapes = [x.shape[:-1] + (n,) for n in self.layer_sizes[1:-1]]
+        shapes = [lead + (n + 1,) for n in self.layer_sizes[1:-1]]
         if [a.shape for a in acts[1:]] == shapes:
             acts[:1] = [x]
         else:
             acts[:] = [x] + [np.empty(s) for s in shapes]
-        # bias and tanh in place on the matmul result
-        for a, w, b in zip(acts[1:], self._rhs, self.biases):
-            x = np.matmul(x, w, out=a)
-            x += b
-            np.tanh(x, out=x)
-        x = x @ self._rhs[-1]
+        # tanh runs over the whole contiguous array, ones column too, which
+        # is faster than over the strided view, and the column is then reset
+        for a, rhs in zip(acts[1:], self._rhs):
+            np.matmul(x, rhs, out=a[..., :-1])
+            np.tanh(a, out=a)
+            a[..., -1] = 1.0
+            x = a
+        x = x[..., :-1] @ self.weights[-1].T
         x += self.biases[-1]
         return x
 
@@ -189,12 +198,20 @@ class Mlp(ParamVector):
             if grad is not None:
                 gw, gb = views[li]
                 g2 = g.reshape(-1, g.shape[-1])
-                gw += g2.T @ a.reshape(-1, a.shape[-1])
+                gw += g2.T @ a[..., :-1].reshape(-1, a.shape[-1] - 1)
                 gb += g2.sum(axis=0)
-            g = g @ self.weights[li]
-            if li > 0:
-                g *= 1.0 - a * a  # a = tanh of the layer below
-        return g
+            if li == 0:
+                return g @ self.weights[0]
+            # the cotangent gets a zero ones column, so that the tanh'
+            # product runs over whole arrays, not strided views, and tanh'
+            # = 1 - a * a (a = tanh of the layer below) takes one temporary
+            gx = np.empty(g.shape[:-1] + a.shape[-1:])
+            np.matmul(g, self.weights[li], out=gx[..., :-1])
+            gx[..., -1] = 0.0
+            d = np.multiply(a, a)
+            np.subtract(1.0, d, out=d)
+            gx *= d
+            g = gx[..., :-1]
 
     def forward(self, x):
         """Retired tape forward pass (see ``grad``)."""

@@ -81,7 +81,9 @@ class Gmm:
             -0.5 * sq / self.variances
             - 0.5 * self.dim * (LOG_2PI + np.log(self.variances))
         )
-        return logsumexp(comp_logpdf + np.log(self.weights), axis=-1)
+        with np.errstate(divide="ignore"):  # a zero weight's log is -inf
+            log_weights = np.log(self.weights)
+        return logsumexp(comp_logpdf + log_weights, axis=-1)
 
     def sample(self, n, seed):
         rng = np.random.default_rng(seed)

@@ -74,9 +74,11 @@ class CoefficientNet:
         """Realize the coefficient at (opposite-variable, t), ``(..., d, d)``
         if dense; the net's activations go to ``acts`` (see ``Mlp.__call__``)."""
         opposite = np.asarray(opposite, dtype=np.float64)
-        x = np.empty(opposite.shape[:-1] + (opposite.shape[-1] + 1,))
-        x[..., :-1] = opposite
-        x[..., -1] = t
+        # the net's first layer input [opposite | t | 1], built once
+        x = np.empty(opposite.shape[:-1] + (opposite.shape[-1] + 2,))
+        x[..., :-2] = opposite
+        x[..., -2] = t
+        x[..., -1] = 1.0
         out = self.net(x, acts)
         if self.form == DENSE:
             return out.reshape(out.shape[:-1] + (math.isqrt(out.shape[-1]),) * 2)

@@ -39,7 +39,7 @@ def test_jacobian_analytic():
 
 def test_mlp_forward_matches_plain(rng):
     """Recording and plain calls give the bits of the layers written out in
-    numpy, and the record holds every layer's input."""
+    numpy, and the record holds every layer's input with a ones column."""
     mlp = Mlp([3, 5, 2], seed=1)
     mlp.set_params(rng.standard_normal(mlp.num_params))
     x = rng.standard_normal((4, 3))
@@ -50,7 +50,31 @@ def test_mlp_forward_matches_plain(rng):
     assert np.array_equal(out, h @ w2.T + b2)
     assert np.array_equal(mlp(x), out)
     assert len(acts) == 2
-    assert np.array_equal(acts[0], x) and np.array_equal(acts[1], h)
+    assert np.array_equal(acts[0][..., :-1], x) and np.array_equal(acts[1][..., :-1], h)
+    assert all(np.array_equal(a[..., -1], np.ones(4)) for a in acts)
+    # an input that already ends in the ones column is kept, not copied
+    x1 = np.hstack([x, np.ones((4, 1))])
+    assert np.array_equal(mlp(x1, acts), out) and acts[0] is x1
+
+
+def test_folded_biases_keep_the_layer_by_layer_bits(rng):
+    """Each bias folded into its layer's product, ``[x | 1] @ [W.T ; b]``,
+    gives the bits of the layers computed apart: the first and output layers
+    through the ``W.T`` view plus ``b``, the hidden layers through a
+    contiguous ``W.T`` copy plus ``b``, with tanh between."""
+    mlp = Mlp([3, 64, 64, 64, 2], seed=5)
+    mlp.set_params(rng.uniform(-0.3, 0.3, mlp.num_params))
+    w, b = mlp.weights, mlp.biases
+
+    def apart(x):
+        h = np.tanh(x @ w[0].T + b[0])
+        for wi, bi in zip(w[1:-1], b[1:-1]):
+            h = np.tanh(h @ wi.T.copy() + bi)
+        return h @ w[-1].T + b[-1]
+
+    for shape in [(rows, 3) for rows in (1, 7, 18, 19, 76, 128, 256, 1024)] + [(3,)]:
+        x = rng.standard_normal(shape)
+        assert mlp(x).tobytes() == apart(x).tobytes(), shape
 
 
 def test_mlp_workspace_matches_fresh_bits(rng):
@@ -172,15 +196,14 @@ def test_set_params_remakes_the_weight_copies(rows, rng):
 
 
 def test_only_set_params_writes_the_hidden_weights():
-    """Hidden-to-hidden weights and ``params`` are read-only, so no write can
-    leave a weight copy stale; the first and output layers stay writable."""
+    """Every weight and bias that a layer's ``[W.T ; b]`` copy holds, and
+    ``params``, is read-only, so no write can leave a copy stale; the output
+    layer stays writable."""
     mlp = Mlp([3, 8, 8, 2], seed=0)
     x = np.ones((20, 3))
-    with pytest.raises(ValueError, match="read-only"):
-        mlp.weights[1][0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        mlp.params[:] = 0.0
-    mlp.weights[0][:] = 0.5
+    for a in mlp.weights[:-1] + mlp.biases[:-1] + [mlp.params]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.5
     mlp.weights[-1][:] *= 2.0
     mlp.biases[-1][:] = 1.0
     fresh = Mlp([3, 8, 8, 2], seed=1)

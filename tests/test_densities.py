@@ -89,6 +89,15 @@ def test_gmm_log_density_matches_scipy_mixture(rng):
     assert np.allclose(gmm.log_density(x), expected, atol=1e-12)
 
 
+def test_gmm_zero_weight_component_drops_out(rng):
+    """A zero-weight component adds log 0 = -inf to the sum, without a
+    warning, and the density is that of the mixture without it."""
+    gmm = Gmm([0.5, 0.5, 0.0], [[-1.0, 0.0], [1.0, 0.0], [0.0, 3.0]], [0.5, 0.5, 2.0])
+    two = Gmm([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    x = rng.standard_normal((20, 2)) * 2
+    assert np.array_equal(gmm.log_density(x), two.log_density(x))
+
+
 def test_gmm_normalizes_on_grid():
     gmm = default_trimodal()
     xs = np.linspace(-8, 8, 400)

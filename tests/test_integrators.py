@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import verletflow.flow as flow_module
 import verletflow.integrators as integ
-from verletflow.autodiff import Mlp
+from verletflow.autodiff import Mlp, layer_views
 from verletflow.flow import DENSE, DIAGONAL, PhaseState, VerletFlow
 from verletflow.importance import rademacher_probes
 from verletflow.integrators import (
@@ -534,8 +534,10 @@ def test_verlet_logdet_overflow_fails_the_row():
     # a coefficient of -inf sends q to 0, a finite state, and the log-det to
     # -inf: the row fails at that substep and holds its start, dlogp 0
     flow = VerletFlow(2, 2, order=1, hidden=[3], seed=0).zero_()
-    net = flow.q_nets[1].net
-    net.weights[0][:], net.biases[0][:], net.weights[-1][:] = 0.0, 1.0, -1e308
+    new, c = flow.get_params(), flow.q_nets[1]
+    (w0, b0), (w1, _) = layer_views(new[c.span], c.net.layer_sizes)
+    w0[:], b0[:], w1[:] = 0.0, 1.0, -1e308
+    flow.set_params(new)
     state = dlogp_overflow_start()
     with np.errstate(all="ignore"):
         res = verlet_integrate(flow, state, IntegratorConfig(steps=2))
@@ -548,8 +550,11 @@ def test_rk4_trace_overflow_fails_the_row():
     # finite fields whose Hutchinson trace is NaN: the row fails at the step
     # end's dlogp site and holds its start, dlogp 0; rk4-exact stays finite
     flow = VerletFlow(2, 2, order=1, hidden=[3], seed=0)
+    new = flow.get_params()
     for c in flow.q_nets + flow.p_nets:
-        c.net.weights[0][:], c.net.weights[-1][:], c.net.biases[-1][:] = 0.0, 1e308, 0.01
+        (w0, _), (w1, b1) = layer_views(new[c.span], c.net.layer_sizes)
+        w0[:], w1[:], b1[:] = 0.0, 1e308, 0.01
+    flow.set_params(new)
     state = dlogp_overflow_start()
     cfg = IntegratorConfig(steps=2, method="rk4-hutchinson")
     with np.errstate(all="ignore"):
